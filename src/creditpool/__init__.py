@@ -55,7 +55,6 @@ from .model import (
 )
 from .riccati import RiccatiSolution, saturation_level, solve_riccati
 from .simulate import (
-    PortfolioState,
     ReplicationSet,
     SimConfig,
     SimResult,
@@ -76,7 +75,7 @@ __all__ = [
     "PicardResult", "LimitSolution", "solve_q", "compute_f", "f_derivative",
     "effective_contagion_weight", "solve_homogeneous_f", "solve_limit",
     # simulation
-    "SimConfig", "SimResult", "PortfolioState", "ReplicationSet",
+    "SimConfig", "SimResult", "ReplicationSet",
     "simulate", "run_replications", "moment_diagnostic", "proportional_counts",
     # convergence lab
     "ConvergenceCell", "ConvergenceReport", "SweepSpec", "lln_experiment",

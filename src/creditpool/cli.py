@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -50,15 +49,13 @@ from .model import (
     TypeAtom,
     validate_measure,
 )
-from .simulate import SimConfig, run_replications
+from .simulate import RNG_CONTRACT, SimConfig, run_replications
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_NONFINITE = 4
 EXIT_IO = 5
-
-THREADS_ENV = "CREDITPOOL_THREADS"
 
 DEFAULT_CONFIG = {
     "measure": {
@@ -253,12 +250,29 @@ def build_solver(config: dict) -> SolverSettings:
     )
 
 
-def thread_hint() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
+def build_sim(config: dict, grid: TimeGrid) -> tuple[SimConfig, int]:
+    """The ``sim`` section as a simulation config plus its replication count."""
+    measure, _ = build_measure(config)
+    factor = build_factor(config)
+    sim = config["sim"]
+    if not isinstance(sim["record_moments"], bool):
+        raise ConfigError("sim.record_moments must be true or false")
+    n_reps = _require(sim, "n_reps", int, "sim")
+    if n_reps < 1:
+        raise ConfigError("sim.n_reps must be >= 1")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        sim_config = SimConfig(
+            n_firms=_require(sim, "n_firms", int, "sim"),
+            measure=measure,
+            factor=factor,
+            grid=grid,
+            seed=_require(sim, "seed", int, "sim"),
+            assignment=sim["assignment"],
+            record_moments=sim["record_moments"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from exc
+    return sim_config, n_reps
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +292,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_manifest(path: Path, command: str, config: dict, grid: TimeGrid,
-                    seconds: float, threads: int, extra: dict | None = None) -> None:
+                    seconds: float, extra: dict | None = None) -> None:
     manifest = {
         "command": command,
         "tool_version": __version__,
         "seed": config["sim"]["seed"],
         "config": config,
         "grid": {"t_end": grid.t_end, "n_steps": grid.n_steps, "dt": grid.dt},
-        "threads_hint": threads,
         "timing": {"seconds": seconds},
     }
     if extra:
@@ -299,7 +312,7 @@ def _write_manifest(path: Path, command: str, config: dict, grid: TimeGrid,
 # commands
 
 
-def _cmd_limit(config: dict, out: Path, threads: int) -> None:
+def _cmd_limit(config: dict, out: Path) -> None:
     measure, _ = build_measure(config)
     grid = build_grid(config)
     solver = build_solver(config)
@@ -316,27 +329,15 @@ def _cmd_limit(config: dict, out: Path, threads: int) -> None:
     )
     _write_csv(out / "limit.csv", header, rows)
     _write_manifest(out / "limit_manifest.json", "limit", config, grid, seconds,
-                    threads, {"solver_iterations": sol.iterations,
-                              "solver_residual": sol.residual})
+                    {"solver_iterations": sol.iterations,
+                     "solver_residual": sol.residual})
 
 
-def _cmd_simulate(config: dict, out: Path, threads: int) -> None:
-    measure, _ = build_measure(config)
+def _cmd_simulate(config: dict, out: Path) -> None:
     grid = build_grid(config)
-    factor = build_factor(config)
-    sim = config["sim"]
-    sim_config = SimConfig(
-        n_firms=_require(sim, "n_firms", int, "sim"),
-        measure=measure,
-        factor=factor,
-        grid=grid,
-        seed=_require(sim, "seed", int, "sim"),
-        assignment=sim["assignment"],
-        record_moments=bool(sim["record_moments"]),
-    )
-    n_reps = _require(sim, "n_reps", int, "sim")
+    sim_config, n_reps = build_sim(config, grid)
     started = time.perf_counter()
-    reps = run_replications(sim_config, n_reps, threads=threads)
+    reps = run_replications(sim_config, n_reps)
     seconds = time.perf_counter() - started
     t = grid.points()
     rows = (
@@ -352,10 +353,10 @@ def _cmd_simulate(config: dict, out: Path, threads: int) -> None:
     )
     _write_csv(out / "aggregate.csv", ["t", "mean", "q10", "q90"], agg)
     _write_manifest(out / "simulate_manifest.json", "simulate", config, grid,
-                    seconds, threads)
+                    seconds, {"rng_contract": RNG_CONTRACT})
 
 
-def _cmd_converge(config: dict, out: Path, threads: int) -> None:
+def _cmd_converge(config: dict, out: Path) -> None:
     measure, _ = build_measure(config)
     grid = build_grid(config)
     factor = build_factor(config)
@@ -367,7 +368,6 @@ def _cmd_converge(config: dict, out: Path, threads: int) -> None:
     report = lln_experiment(
         measure, factor, grid, n_values, n_reps, seed=config["sim"]["seed"],
         tol=solver.tol, max_iter=solver.max_iter, method=solver.method,
-        threads=threads,
     )
     seconds = time.perf_counter() - started
     rows = (
@@ -378,8 +378,9 @@ def _cmd_converge(config: dict, out: Path, threads: int) -> None:
     _write_csv(out / "convergence.csv",
                ["N", "reps", "mean", "median", "q10", "q90", "seconds"], rows)
     _write_manifest(out / "converge_manifest.json", "converge", config, grid,
-                    seconds, threads,
-                    {"solver_iterations": report.solver_iterations,
+                    seconds,
+                    {"rng_contract": RNG_CONTRACT,
+                     "solver_iterations": report.solver_iterations,
                      "solver_residual": report.solver_residual,
                      "median_violations": list(report.median_violations)})
 
@@ -391,7 +392,7 @@ _FIGURE_FILES = (
 )
 
 
-def _cmd_figures(config: dict, out: Path, threads: int) -> None:
+def _cmd_figures(config: dict, out: Path) -> None:
     grid = build_grid(config)
     solver = build_solver(config)
     t = grid.points()
@@ -407,7 +408,7 @@ def _cmd_figures(config: dict, out: Path, threads: int) -> None:
         _write_csv(out / filename, ["t", "param_value", "F"], rows)
     seconds = time.perf_counter() - started
     _write_manifest(out / "figures_manifest.json", "figures", config, grid,
-                    seconds, threads)
+                    seconds)
 
 
 _COMMANDS = {
@@ -446,7 +447,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.set, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](config, out, thread_hint())
+        _COMMANDS[args.command](config, out)
         return EXIT_OK
     except (ConfigError, ValidationError) as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)

@@ -85,7 +85,6 @@ def lln_experiment(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     method: str = "closed_form",
-    threads: int = 1,
     limit: LimitSolution | None = None,
 ) -> ConvergenceReport:
     """Simulate across pool sizes and compare against the limit curve.
@@ -109,7 +108,7 @@ def lln_experiment(
             n_firms=n_firms, measure=measure, factor=factor, grid=grid, seed=seed
         )
         started = time.perf_counter()
-        reps = run_replications(config, n_reps, threads=threads)
+        reps = run_replications(config, n_reps)
         seconds = time.perf_counter() - started
         distances = tuple(r.l_path.sup_distance(f) for r in reps.results)
         arr = np.array(distances)

@@ -76,10 +76,13 @@ class NonFiniteStateError(CreditPoolError):
 
     code = "NONFINITE_STATE"
 
-    def __init__(self, firm: int, step: int):
+    def __init__(self, replication: int, firm: int, step: int):
+        self.replication = replication
         self.firm = firm
         self.step = step
-        super().__init__(f"non-finite intensity at firm {firm}, step {step}")
+        super().__init__(
+            f"non-finite intensity in replication {replication} at firm {firm}, step {step}"
+        )
 
 
 class DegenerateMeasureError(CreditPoolError):

@@ -12,16 +12,25 @@ exact Gaussian transition for the shared factor, trapezoid accumulation of
 the integrated intensity, and default detection at step ends with the
 whole batch of simultaneous defaults applied at once to every survivor.
 
-Reproducibility: all randomness derives from ``(seed, replication)``
-through per-firm seed sequences plus one factor stream, so results are
-bit-identical for a fixed configuration regardless of execution order or
-thread count.
+Batching: replications are stepped together.  The state of a batch is a
+set of ``(replications, firms)`` arrays and one time step is one pass of
+numpy operations over them.  :func:`run_replications` cuts its
+replications into batches of ``max(1, _CELL_BUDGET // N)``, and
+:func:`simulate` is a batch of one.  Memory is O(batch cells), not
+O(N * n_steps): normals are drawn a block of steps at a time.
+
+Reproducibility (``RNG_CONTRACT`` 2): replication r of seed s draws its
+firm noise from one counter-based Philox stream keyed by ``(s, r)``: N
+standard-exponential thresholds first, then N standard normals per step,
+in step order.  The shared factor and the sampled atom assignment have
+streams of their own under the same key.  A replication's output is
+therefore bit-identical however the replications are batched, but a
+firm's noise depends on N.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +46,26 @@ from .model import (
 
 ASSIGNMENTS = ("proportional", "sampled")
 
-# Stream tags under (seed, replication, tag, ...): keep these stable, they
+#: Version of the map from ``(seed, replication)`` to random draws, written
+#: into manifests.  It changes whenever simulated output bits change.
+RNG_CONTRACT = 2
+
+# Stream tags under (seed, replication, tag): keep these stable, they
 # are part of the reproducibility contract.
 _STREAM_FACTOR = 0
 _STREAM_FIRM = 1
 _STREAM_ASSIGN = 2
+
+# Replications x firms stepped together.  Small pools share a batch, so
+# per-step interpreter overhead is paid once for many replications; the
+# cap bounds a batch's memory (its normals buffer is at most
+# _NORMAL_BLOCK * _CELL_BUDGET doubles, 16 MB).  Speed is flat from 2**12
+# to 2**18 cells at N = 100 .. 1e4.
+_CELL_BUDGET = 1 << 16
+
+# Steps of normals drawn at once per replication.  Part of no contract:
+# a stream's draws do not depend on how they are blocked.
+_NORMAL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -65,22 +89,6 @@ class SimConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.assignment not in ASSIGNMENTS:
             raise ValueError(f"assignment must be one of {ASSIGNMENTS}")
-
-
-@dataclass
-class PortfolioState:
-    """Mutable per-firm state advanced by the stepping loop."""
-
-    lam: np.ndarray           # current intensity (dead firms frozen)
-    integrated: np.ndarray    # running integral of the truncated intensity
-    threshold: np.ndarray     # standard-exponential default thresholds
-    alive: np.ndarray         # bool, monotone nonincreasing per firm
-    x: float                  # systematic factor level
-    defaults_so_far: int = 0
-
-    @property
-    def default_fraction(self) -> float:
-        return self.defaults_so_far / self.lam.shape[0]
 
 
 @dataclass(frozen=True)
@@ -114,10 +122,8 @@ def proportional_counts(weights: np.ndarray, n_firms: int) -> np.ndarray:
     return base
 
 
-def _firm_stream(seed: int, replication: int, firm: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(replication, _STREAM_FIRM, firm))
-    )
+def _seed_sequence(seed: int, replication: int, tag: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed, spawn_key=(replication, tag))
 
 
 def _atom_assignment(config: SimConfig, replication: int) -> np.ndarray:
@@ -125,92 +131,98 @@ def _atom_assignment(config: SimConfig, replication: int) -> np.ndarray:
     if config.assignment == "proportional":
         counts = proportional_counts(weights, config.n_firms)
         return np.repeat(np.arange(len(weights)), counts)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(replication, _STREAM_ASSIGN))
-    )
+    rng = np.random.default_rng(_seed_sequence(config.seed, replication, _STREAM_ASSIGN))
     return rng.choice(len(weights), size=config.n_firms, p=weights / weights.sum())
 
 
-def simulate(config: SimConfig, replication: int = 0) -> SimResult:
-    """Run one replication of the coupled-intensity pool.
+def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
+    """Step the given replications together; one result per replication.
 
-    Raises :class:`NonFiniteStateError` (reporting firm and step) if any
-    intensity becomes NaN or infinite, which signals a grid/parameter
-    pathology rather than a statistical fluctuation.
+    Raises :class:`NonFiniteStateError` (reporting replication, firm and
+    step) if any intensity becomes NaN or infinite.
     """
-    validate_measure(config.measure, cap=math.inf)  # signs and weight sum
     n = config.n_firms
     grid = config.grid
     n_steps = grid.n_steps
     dt = grid.dt
     sqdt = math.sqrt(dt)
+    width = len(replications)
 
-    atom_idx = _atom_assignment(config, replication)
     atoms = config.measure.atoms
-    alpha = np.array([a.firm_type.alpha for a in atoms])[atom_idx]
-    lbar = np.array([a.firm_type.lambda_bar for a in atoms])[atom_idx]
-    sigma = np.array([a.firm_type.sigma for a in atoms])[atom_idx]
-    beta_c = np.array([a.firm_type.beta_c for a in atoms])[atom_idx]
-    beta_s = np.array([a.firm_type.beta_s for a in atoms])[atom_idx]
-    lam0 = np.array([a.lambda_init for a in atoms])[atom_idx]
+    atom_idx = np.stack([_atom_assignment(config, r) for r in replications])
 
-    thresholds = np.empty(n)
-    normals = np.empty((n, n_steps))
-    for i in range(n):
-        g = _firm_stream(config.seed, replication, i)
-        thresholds[i] = g.standard_exponential()
-        normals[i] = g.standard_normal(n_steps)
-    factor_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(replication, _STREAM_FACTOR))
-    )
-    factor_normals = factor_rng.standard_normal(n_steps)
+    def per_firm(values) -> np.ndarray:
+        return np.array(values)[atom_idx]
+
+    neg_alpha = -per_firm([a.firm_type.alpha for a in atoms])
+    lbar = per_firm([a.firm_type.lambda_bar for a in atoms])
+    sigma = per_firm([a.firm_type.sigma for a in atoms])
+    beta_c = per_firm([a.firm_type.beta_c for a in atoms])
+    lam = per_firm([a.lambda_init for a in atoms])
+
+    firm_rngs = [np.random.Generator(np.random.Philox(
+        _seed_sequence(config.seed, r, _STREAM_FIRM))) for r in replications]
+    thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
+    block = min(_NORMAL_BLOCK, n_steps)
+    normals = np.empty((width, block, n))
 
     gamma = config.factor.gamma
     ou_decay = math.exp(-gamma * dt)
     ou_scale = math.sqrt((1.0 - math.exp(-2.0 * gamma * dt)) / (2.0 * gamma))
     eps = config.factor.eps(n)
     # With zero exposure the factor term is skipped entirely, so the factor
-    # stream provably cannot influence firm states.
-    factor_active = eps != 0.0 and bool(np.any(beta_s != 0.0))
+    # stream provably cannot influence firm states.  Deciding from the
+    # measure, not from the firms a replication drew, keeps every
+    # replication of a batch on the same arithmetic.
+    factor_active = eps != 0.0 and any(a.firm_type.beta_s != 0.0 for a in atoms)
+    if factor_active:
+        exposure = eps * per_firm([a.firm_type.beta_s for a in atoms])
+        factor_rngs = [np.random.default_rng(_seed_sequence(config.seed, r, _STREAM_FACTOR))
+                       for r in replications]
+        factor_normals = np.empty((width, block))
+        x = np.full(width, config.factor.x_init)
 
-    state = PortfolioState(
-        lam=lam0.copy(),
-        integrated=np.zeros(n),
-        threshold=thresholds,
-        alive=np.ones(n, dtype=bool),
-        x=config.factor.x_init,
-    )
-
-    l_path = np.zeros(n_steps + 1)
-    default_times = np.full(n, np.nan)
+    integrated = np.zeros((width, n))
+    alive = np.ones((width, n), dtype=bool)
+    defaults = np.zeros(width, dtype=np.int64)
+    l_path = np.zeros((width, n_steps + 1))
+    default_times = np.full((width, n), np.nan)
     if config.record_moments:
-        m1 = np.empty(n_steps + 1)
-        m2 = np.empty(n_steps + 1)
-        pos0 = np.maximum(state.lam, 0.0)
-        m1[0] = pos0.mean()
-        m2[0] = np.mean(pos0 * pos0)
+        m1 = np.empty((width, n_steps + 1))
+        m2 = np.empty((width, n_steps + 1))
+        pos0 = np.maximum(lam, 0.0)
+        m1[:, 0] = pos0.mean(axis=1)
+        m2[:, 0] = np.mean(pos0 * pos0, axis=1)
 
-    lam = state.lam
-    integrated = state.integrated
-    alive = state.alive
     for k in range(n_steps):
-        x_new = state.x * ou_decay + ou_scale * factor_normals[k]
-        dx = x_new - state.x
-        state.x = x_new
+        j = k % block
+        if j == 0:
+            drawn = min(block, n_steps - k)
+            for g, out in zip(firm_rngs, normals):
+                g.standard_normal((drawn, n), out=out[:drawn])
+            if factor_active:
+                for g, out in zip(factor_rngs, factor_normals):
+                    g.standard_normal(drawn, out=out[:drawn])
+
+        if factor_active:
+            x_new = x * ou_decay + ou_scale * factor_normals[:, j]
+            dx = (x_new - x)[:, None]
+            x = x_new
 
         lam_plus = np.maximum(lam, 0.0)
         # overflow here is reported as NonFiniteStateError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             incr = (
-                -alpha * (lam_plus - lbar) * dt
-                + sigma * np.sqrt(lam_plus) * (sqdt * normals[:, k])
+                neg_alpha * (lam_plus - lbar) * dt
+                + sigma * np.sqrt(lam_plus) * (sqdt * normals[:, j])
             )
             if factor_active:
-                incr += eps * beta_s * lam_plus * dx
+                incr += exposure * lam_plus * dx
             lam_new = np.where(alive, lam + incr, lam)
-        if not np.all(np.isfinite(lam_new)):
-            firm = int(np.argmin(np.isfinite(lam_new)))
-            raise NonFiniteStateError(firm, k + 1)
+        finite = np.isfinite(lam_new)
+        if not finite.all():
+            rep, firm = np.unravel_index(np.argmin(finite), finite.shape)
+            raise NonFiniteStateError(replications[rep], int(firm), k + 1)
         integrated = np.where(
             alive,
             integrated + 0.5 * dt * (lam_plus + np.maximum(lam_new, 0.0)),
@@ -219,33 +231,45 @@ def simulate(config: SimConfig, replication: int = 0) -> SimResult:
         lam = lam_new
 
         newly = alive & (integrated >= thresholds)
-        d = int(np.count_nonzero(newly))
-        if d:
-            alive = alive & ~newly
+        if newly.any():
+            d = np.count_nonzero(newly, axis=1)
+            alive &= ~newly
             default_times[newly] = (k + 1) * dt
-            state.defaults_so_far += d
+            defaults += d
             # one batched jump: d defaults each contribute beta_c / N
-            lam = np.where(alive, lam + d * beta_c / n, lam)
-        l_path[k + 1] = state.defaults_so_far / n
+            lam = np.where(alive, lam + d[:, None] * beta_c / n, lam)
+        l_path[:, k + 1] = defaults / n
 
         if config.record_moments:
             pos = np.maximum(lam, 0.0)
-            m1[k + 1] = pos.mean()
-            m2[k + 1] = np.mean(pos * pos)
+            m1[:, k + 1] = pos.mean(axis=1)
+            m2[:, k + 1] = np.mean(pos * pos, axis=1)
 
-    state.lam = lam
-    state.integrated = integrated
-    state.alive = alive
-    moments = None
-    if config.record_moments:
-        moments = (Trajectory(grid, m1), Trajectory(grid, m2))
-    return SimResult(
-        l_path=Trajectory(grid, l_path),
-        default_times=default_times,
-        intensity_moment_paths=moments,
-        seed_used=config.seed,
-        replication=replication,
-    )
+    results = []
+    for i, r in enumerate(replications):
+        moments = None
+        if config.record_moments:
+            moments = (Trajectory(grid, m1[i]), Trajectory(grid, m2[i]))
+        results.append(SimResult(
+            l_path=Trajectory(grid, l_path[i]),
+            default_times=default_times[i],
+            intensity_moment_paths=moments,
+            seed_used=config.seed,
+            replication=r,
+        ))
+    return results
+
+
+def simulate(config: SimConfig, replication: int = 0) -> SimResult:
+    """Run one replication of the coupled-intensity pool.
+
+    Bit-identical to the same replication inside :func:`run_replications`.
+    Raises :class:`NonFiniteStateError` (reporting replication, firm and
+    step) if any intensity becomes NaN or infinite, which signals a
+    grid/parameter pathology rather than a statistical fluctuation.
+    """
+    validate_measure(config.measure, cap=math.inf)  # signs and weight sum
+    return _simulate_batch(config, range(replication, replication + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -258,21 +282,21 @@ class ReplicationSet:
     q90: Trajectory
 
 
-def run_replications(config: SimConfig, n_reps: int, threads: int = 1) -> ReplicationSet:
-    """Run ``n_reps`` independent replications and aggregate pointwise.
+def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
+    """Run replications ``0 .. n_reps-1`` and aggregate pointwise.
 
-    Replication r draws its randomness from streams keyed by
-    ``(seed, r)``, so the set of paths is independent of ``threads``;
-    the thread count is a throughput hint only.
+    Replications are stepped in batches of ``max(1, _CELL_BUDGET // N)``;
+    each one's output is the same as :func:`simulate` gives it alone.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    reps = range(n_reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(lambda r: simulate(config, r), reps))
-    else:
-        results = tuple(simulate(config, r) for r in reps)
+    validate_measure(config.measure, cap=math.inf)  # signs and weight sum
+    width = max(1, _CELL_BUDGET // config.n_firms)
+    results = tuple(
+        result
+        for start in range(0, n_reps, width)
+        for result in _simulate_batch(config, range(start, min(start + width, n_reps)))
+    )
     paths = np.stack([r.l_path.values for r in results])
     grid = config.grid
     return ReplicationSet(

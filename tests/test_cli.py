@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from creditpool.cli import main
 
@@ -109,13 +110,23 @@ class TestSimulateCommand:
         assert (out1 / "paths.csv").read_bytes() == (out2 / "paths.csv").read_bytes()
         assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
 
-    def test_thread_hint_does_not_change_bytes(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        monkeypatch.setenv("CREDITPOOL_THREADS", "1")
-        assert main(["simulate", "--out", str(out1), *SIM_ARGS]) == 0
-        monkeypatch.setenv("CREDITPOOL_THREADS", "4")
-        assert main(["simulate", "--out", str(out2), *SIM_ARGS]) == 0
-        assert (out1 / "paths.csv").read_bytes() == (out2 / "paths.csv").read_bytes()
+    def test_manifest_records_rng_contract(self, tmp_path):
+        assert main(["simulate", "--out", str(tmp_path), *SIM_ARGS]) == 0
+        manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+        assert manifest["rng_contract"] == 2
+        assert "threads_hint" not in manifest
+
+    @pytest.mark.parametrize("override", [
+        'sim.assignment="x"',
+        "sim.n_firms=0",
+        "sim.n_reps=0",
+        'sim.record_moments="no"',
+    ])
+    def test_invalid_sim_value_exit_code(self, tmp_path, capsys, override):
+        code = main(["simulate", "--out", str(tmp_path), *SIM_ARGS, "--set", override])
+        assert code == 2
+        field = override.split("=")[0].split(".")[1]
+        assert field in capsys.readouterr().err
 
     def test_single_firm_pool_levels(self, tmp_path):
         code = main(
@@ -151,6 +162,7 @@ class TestConvergeCommand:
         manifest = json.loads((tmp_path / "converge_manifest.json").read_text())
         assert manifest["solver_residual"] <= 1e-10
         assert "median_violations" in manifest
+        assert manifest["rng_contract"] == 2
 
 
 class TestFiguresCommand:

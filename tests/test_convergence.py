@@ -48,6 +48,16 @@ class TestLlnExperiment:
         ratio = report.cells[0].median / report.cells[1].median
         assert 1.5 <= ratio <= 3.0
 
+    def test_distance_slope_is_minus_one_half(self, base_measure, factor, grid_1k):
+        # README claim: the sup-distance to the limit shrinks like 1/sqrt(N)
+        n_values = [100, 400, 1600]
+        report = lln_experiment(
+            base_measure, factor, grid_1k, n_values, n_reps=20, seed=20260810
+        )
+        medians = [cell.median for cell in report.cells]
+        slope = np.polyfit(np.log(n_values), np.log(medians), 1)[0]
+        assert -0.75 <= slope <= -0.25
+
     def test_preconditions(self, factor):
         grid = TimeGrid(1.0, 100)
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import tracemalloc
+from importlib import import_module
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,9 @@ from creditpool import (
 )
 
 from conftest import BASE
+
+# the package exports the function simulate under the module's name
+simulate_module = import_module("creditpool.simulate")
 
 
 def make_config(n_firms=200, grid=None, seed=123, measure=None, factor=None, **kw):
@@ -52,13 +58,30 @@ class TestDeterminism:
             r1.l_path.values, simulate(config, 1).l_path.values
         )
 
-    def test_thread_count_does_not_change_results(self):
-        config = make_config(n_firms=60, grid=TimeGrid(0.5, 100))
-        seq = run_replications(config, 4, threads=1)
-        par = run_replications(config, 4, threads=4)
-        for a, b in zip(seq.results, par.results):
-            np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
-        np.testing.assert_array_equal(seq.mean.values, par.mean.values)
+    def test_batching_does_not_change_results(self, monkeypatch):
+        # two atoms with factor exposure, so every term of a step runs; 150
+        # steps end in a partial block of normals
+        m = DiscreteTypeMeasure(
+            (
+                TypeAtom(FirmType(4.0, 0.5, 0.9, 2.0, beta_s=1.0), 0.5, 0.5),
+                TypeAtom(FirmType(2.0, 0.3, 0.6, 1.0, beta_s=2.0), 0.3, 0.5),
+            )
+        )
+        for n_firms in (7, 100):
+            config = make_config(n_firms=n_firms, measure=m, grid=TimeGrid(1.0, 150))
+            alone = [simulate(config, r) for r in range(6)]
+            assert alone[0].l_path.values[-1] > 0.0
+            for width in (1, 2, 6):
+                monkeypatch.setattr(simulate_module, "_CELL_BUDGET", width * n_firms)
+                batched = run_replications(config, 6).results
+                for a, b in zip(alone, batched):
+                    assert b.replication == a.replication
+                    np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
+                    np.testing.assert_array_equal(a.default_times, b.default_times)
+                    for p in (1, 2):
+                        np.testing.assert_array_equal(
+                            moment_diagnostic(a, p).values, moment_diagnostic(b, p).values
+                        )
 
     def test_factor_stream_is_separate(self):
         # with zero exposure, changing the factor's dynamics cannot move a bit
@@ -123,9 +146,23 @@ class TestPathStructure:
     def test_nonfinite_state_reported(self):
         m = homogeneous_measure(FirmType(1e200, 1e200, 0.0, 0.0), 1.0)
         with pytest.raises(NonFiniteStateError) as err:
-            simulate(make_config(measure=m, n_firms=3))
+            simulate(make_config(measure=m, n_firms=3), replication=2)
         assert err.value.step == 1
         assert 0 <= err.value.firm < 3
+        assert err.value.replication == 2
+        assert "replication 2" in str(err.value)
+
+    def test_peak_memory_bounded_at_large_pool(self):
+        # the normals of 1000 steps alone would take 160 MB at once
+        config = make_config(n_firms=20_000, grid=TimeGrid(1.0, 1000),
+                             record_moments=False)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestOracles:
