@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .model import (
     TypeAtom,
     validate_measure,
 )
+from .riccati import METHODS
 from .simulate import RNG_CONTRACT, SimConfig, run_replications
 
 EXIT_OK = 0
@@ -169,10 +171,21 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
 
 def _require(section: dict, key: str, kind, where: str):
     value = section[key]
+    if isinstance(value, bool):  # float(True) would read as 1.0
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.{key}: {exc}") from exc
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer, or a float with an integral value (1e3); nothing else."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def build_measure(config: dict) -> tuple[DiscreteTypeMeasure, float]:
@@ -226,8 +239,9 @@ def build_factor(config: dict) -> SystematicFactorConfig:
 
 def build_grid(config: dict) -> TimeGrid:
     section = config["grid"]
+    n_steps = _integer(section["n_steps"], "grid.n_steps")
     try:
-        return TimeGrid(t_end=section["t_end"], n_steps=section["n_steps"])
+        return TimeGrid(t_end=section["t_end"], n_steps=n_steps)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -242,12 +256,21 @@ class SolverSettings:
 
 def build_solver(config: dict) -> SolverSettings:
     section = config["solver"]
-    return SolverSettings(
+    settings = SolverSettings(
         tol=_require(section, "tol", float, "solver"),
-        max_iter=_require(section, "max_iter", int, "solver"),
+        max_iter=_integer(section["max_iter"], "solver.max_iter"),
         method=section["method"],
         relaxation=_require(section, "relaxation", float, "solver"),
     )
+    if not (settings.tol > 0.0 and math.isfinite(settings.tol)):
+        raise ConfigError(f"solver.tol must be finite and > 0, got {settings.tol!r}")
+    if settings.max_iter < 1:
+        raise ConfigError("solver.max_iter must be >= 1")
+    if settings.method not in METHODS:
+        raise ConfigError(f"solver.method must be one of {METHODS}, got {settings.method!r}")
+    if not 0.0 < settings.relaxation <= 1.0:
+        raise ConfigError(f"solver.relaxation must be in (0, 1], got {settings.relaxation!r}")
+    return settings
 
 
 def build_sim(config: dict, grid: TimeGrid) -> tuple[SimConfig, int]:
@@ -257,16 +280,16 @@ def build_sim(config: dict, grid: TimeGrid) -> tuple[SimConfig, int]:
     sim = config["sim"]
     if not isinstance(sim["record_moments"], bool):
         raise ConfigError("sim.record_moments must be true or false")
-    n_reps = _require(sim, "n_reps", int, "sim")
+    n_reps = _integer(sim["n_reps"], "sim.n_reps")
     if n_reps < 1:
         raise ConfigError("sim.n_reps must be >= 1")
     try:
         sim_config = SimConfig(
-            n_firms=_require(sim, "n_firms", int, "sim"),
+            n_firms=_integer(sim["n_firms"], "sim.n_firms"),
             measure=measure,
             factor=factor,
             grid=grid,
-            seed=_require(sim, "seed", int, "sim"),
+            seed=_integer(sim["seed"], "sim.seed"),
             assignment=sim["assignment"],
             record_moments=sim["record_moments"],
         )
@@ -284,6 +307,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_column(values) -> list[str]:
+    """:func:`_fmt` of every entry of a float array."""
+    return [repr(x) for x in values.tolist()]
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -292,14 +320,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_manifest(path: Path, command: str, config: dict, grid: TimeGrid,
-                    seconds: float, extra: dict | None = None) -> None:
+                    timing: dict, extra: dict | None = None) -> None:
+    """``timing["seconds"]`` is the command's computation; other keys are phases."""
     manifest = {
         "command": command,
         "tool_version": __version__,
         "seed": config["sim"]["seed"],
         "config": config,
         "grid": {"t_end": grid.t_end, "n_steps": grid.n_steps, "dt": grid.dt},
-        "timing": {"seconds": seconds},
+        "timing": timing,
     }
     if extra:
         manifest.update(extra)
@@ -320,17 +349,21 @@ def _cmd_limit(config: dict, out: Path) -> None:
     sol = solve_limit(measure, grid, tol=solver.tol, max_iter=solver.max_iter,
                       method=solver.method, relaxation=solver.relaxation)
     seconds = time.perf_counter() - started
-    t = grid.points()
     header = ["t", "F", "Q"] + [f"b_{i}" for i in range(len(measure))]
-    rows = (
-        [_fmt(t[k]), _fmt(sol.f.values[k]), _fmt(sol.q.values[k])]
-        + [_fmt(r.b.values[k]) for r in sol.riccati]
-        for k in range(grid.n_points)
-    )
-    _write_csv(out / "limit.csv", header, rows)
-    _write_manifest(out / "limit_manifest.json", "limit", config, grid, seconds,
+    columns = [_fmt_column(grid.points()), _fmt_column(sol.f.values),
+               _fmt_column(sol.q.values)]
+    b_columns = {}  # atoms of one firm type share their Riccati solution
+    for r in sol.riccati:
+        if id(r) not in b_columns:
+            b_columns[id(r)] = _fmt_column(r.b.values)
+        columns.append(b_columns[id(r)])
+    _write_csv(out / "limit.csv", header, zip(*columns))
+    write_seconds = time.perf_counter() - started - seconds
+    _write_manifest(out / "limit_manifest.json", "limit", config, grid,
+                    {"seconds": seconds, "write_seconds": write_seconds},
                     {"solver_iterations": sol.iterations,
-                     "solver_residual": sol.residual})
+                     "solver_residual": sol.residual,
+                     "residual_history": list(sol.residual_history)})
 
 
 def _cmd_simulate(config: dict, out: Path) -> None:
@@ -352,8 +385,10 @@ def _cmd_simulate(config: dict, out: Path) -> None:
         for k in range(grid.n_points)
     )
     _write_csv(out / "aggregate.csv", ["t", "mean", "q10", "q90"], agg)
+    write_seconds = time.perf_counter() - started - seconds
     _write_manifest(out / "simulate_manifest.json", "simulate", config, grid,
-                    seconds, {"rng_contract": RNG_CONTRACT})
+                    {"seconds": seconds, "write_seconds": write_seconds},
+                    {"rng_contract": RNG_CONTRACT})
 
 
 def _cmd_converge(config: dict, out: Path) -> None:
@@ -362,12 +397,19 @@ def _cmd_converge(config: dict, out: Path) -> None:
     factor = build_factor(config)
     solver = build_solver(config)
     section = config["converge"]
-    n_values = [int(n) for n in section["n_values"]]
-    n_reps = _require(section, "n_reps", int, "converge")
+    if not isinstance(section["n_values"], list) or not section["n_values"]:
+        raise ConfigError("converge.n_values must be a non-empty list of pool sizes")
+    n_values = [_integer(n, "converge.n_values[]") for n in section["n_values"]]
+    if min(n_values) < 1:
+        raise ConfigError("converge.n_values must all be >= 1")
+    n_reps = _integer(section["n_reps"], "converge.n_reps")
+    if n_reps < 2:
+        raise ConfigError("converge.n_reps must be >= 2")
     started = time.perf_counter()
     report = lln_experiment(
         measure, factor, grid, n_values, n_reps, seed=config["sim"]["seed"],
         tol=solver.tol, max_iter=solver.max_iter, method=solver.method,
+        relaxation=solver.relaxation,
     )
     seconds = time.perf_counter() - started
     rows = (
@@ -378,7 +420,7 @@ def _cmd_converge(config: dict, out: Path) -> None:
     _write_csv(out / "convergence.csv",
                ["N", "reps", "mean", "median", "q10", "q90", "seconds"], rows)
     _write_manifest(out / "converge_manifest.json", "converge", config, grid,
-                    seconds,
+                    {"seconds": seconds},
                     {"rng_contract": RNG_CONTRACT,
                      "solver_iterations": report.solver_iterations,
                      "solver_residual": report.solver_residual,
@@ -400,7 +442,8 @@ def _cmd_figures(config: dict, out: Path) -> None:
     for filename, sweep_builder in _FIGURE_FILES:
         rows = []
         for value, f in figure_sweep(sweep_builder(grid), tol=solver.tol,
-                                     max_iter=solver.max_iter, method=solver.method):
+                                     max_iter=solver.max_iter, method=solver.method,
+                                     relaxation=solver.relaxation):
             rows.extend(
                 [_fmt(t[k]), _fmt(value), _fmt(f.values[k])]
                 for k in range(grid.n_points)
@@ -408,7 +451,7 @@ def _cmd_figures(config: dict, out: Path) -> None:
         _write_csv(out / filename, ["t", "param_value", "F"], rows)
     seconds = time.perf_counter() - started
     _write_manifest(out / "figures_manifest.json", "figures", config, grid,
-                    seconds)
+                    {"seconds": seconds})
 
 
 _COMMANDS = {

@@ -86,6 +86,7 @@ def lln_experiment(
     max_iter: int = DEFAULT_MAX_ITER,
     method: str = "closed_form",
     limit: LimitSolution | None = None,
+    relaxation: float = 1.0,
 ) -> ConvergenceReport:
     """Simulate across pool sizes and compare against the limit curve.
 
@@ -99,7 +100,8 @@ def lln_experiment(
     if any(n < 1 for n in n_values):
         raise ValueError("pool sizes must be >= 1")
     if limit is None:
-        limit = solve_limit(measure, grid, tol=tol, max_iter=max_iter, method=method)
+        limit = solve_limit(measure, grid, tol=tol, max_iter=max_iter, method=method,
+                            relaxation=relaxation)
     f = limit.f
 
     cells = []
@@ -169,12 +171,13 @@ def figure_sweep(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     method: str = "closed_form",
+    relaxation: float = 1.0,
 ) -> tuple[tuple[float, Trajectory], ...]:
     """One limit solve per swept value, all on the shared grid."""
     rows = []
     for value in spec.values:
-        sol = solve_limit(spec.measure_for(value), spec.grid,
-                          tol=tol, max_iter=max_iter, method=method)
+        sol = solve_limit(spec.measure_for(value), spec.grid, tol=tol,
+                          max_iter=max_iter, method=method, relaxation=relaxation)
         rows.append((value, sol.f))
     return tuple(rows)
 

@@ -12,7 +12,9 @@ closed form
 with b_a the Riccati trajectory of the atom's firm class, and the limit
 default rate is F(t) = 1 - sum_a w_a S_a(t).  The fixed point is computed
 by damped Picard iteration with trapezoid quadrature for all
-time-convolutions on a shared uniform grid.
+time-convolutions on a shared uniform grid.  Atoms of one firm type share
+one Riccati solve, and a sweep convolves q with each distinct kernel once,
+through FFT spectra cached for the whole solve.
 
 A second, independent route exists for single-class pools: iterate on F
 itself in the integral equation
@@ -26,13 +28,13 @@ general path.  The two discretizations agree at O(beta_c * dt^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateMeasureError, NoConvergenceError, NonFiniteResultError
 from .model import DiscreteTypeMeasure, FirmType, TimeGrid, Trajectory
-from .quadrature import conv_simpson, conv_trapezoid, prefix_trapezoid
+from .quadrature import TrapezoidKernel, conv_simpson, conv_trapezoid, prefix_trapezoid
 from .riccati import RiccatiSolution, solve_riccati
 
 DEFAULT_TOL = 1e-10
@@ -46,62 +48,100 @@ EXTINCTION_FLOOR = 1e-14
 def riccati_for_measure(
     measure: DiscreteTypeMeasure, grid: TimeGrid, method: str = "closed_form"
 ) -> tuple[RiccatiSolution, ...]:
-    """One Riccati solve per atom, all on the shared grid."""
-    return tuple(solve_riccati(a.firm_type, grid, method) for a in measure.atoms)
+    """One Riccati solution per atom, on the shared grid.
+
+    Each distinct firm type is solved once; its atoms share that solution.
+    """
+    solved: dict[FirmType, RiccatiSolution] = {}
+    for atom in measure.atoms:
+        if atom.firm_type not in solved:
+            solved[atom.firm_type] = solve_riccati(atom.firm_type, grid, method)
+    return tuple(solved[a.firm_type] for a in measure.atoms)
 
 
 class _AtomKernels:
-    """Per-atom precomputation reused across Picard sweeps."""
+    """Per-atom coefficients over one kernel row per distinct Riccati solution.
+
+    Atom a, whose Riccati solution is (b, b_dot), has the exponent
+    E_a = lam0_a b + conv(b, q + c_a) and its slope
+    D_a = lam0_a b_dot + conv(b_dot, q + c_a), with c_a = alpha lambda_bar.
+    Linearity, conv(h, q + c) = conv(h, q) + c conv(h, 1), leaves one
+    convolution with q per distinct kernel; atoms then pick their rows.
+    """
 
     def __init__(self, measure, riccati, grid):
         if len(riccati) != len(measure.atoms):
             raise ValueError("need exactly one Riccati solution per atom")
-        self.dt = grid.dt
-        self.weight = np.array([a.weight for a in measure.atoms])
-        self.beta_c = np.array([a.firm_type.beta_c for a in measure.atoms])
-        self.lam0 = np.array([a.lambda_init for a in measure.atoms])
-        self.force = np.array(
-            [a.firm_type.alpha * a.firm_type.lambda_bar for a in measure.atoms]
-        )
-        self.b = []
-        self.b_dot = []
+        rows: dict[tuple[FirmType, str], int] = {}
+        distinct = []
+        row_of_atom = []
         for atom, ric in zip(measure.atoms, riccati):
             if ric.grid != grid:
                 raise ValueError("Riccati solutions must share the solver grid")
             if ric.firm_type != atom.firm_type:
                 raise ValueError("Riccati solution does not match its atom")
-            self.b.append(ric.b.values)
-            self.b_dot.append(ric.b_dot.values)
+            key = (ric.firm_type, ric.method)
+            if key not in rows:
+                rows[key] = len(distinct)
+                distinct.append(ric)
+            row_of_atom.append(rows[key])
+        self.dt = grid.dt
+        self.n_atoms = len(measure.atoms)
+        self.weight = np.array([a.weight for a in measure.atoms])
+        self.beta_c = np.array([a.firm_type.beta_c for a in measure.atoms])
+        lam0 = np.array([a.lambda_init for a in measure.atoms])
+        force = np.array([a.firm_type.alpha * a.firm_type.lambda_bar for a in measure.atoms])
+        # Rows 0..T-1 hold each distinct b, rows T..2T-1 its b_dot; the
+        # first n_atoms entries of ``index`` pick E rows, the rest D rows.
+        self.kernels = np.stack([r.b.values for r in distinct]
+                                + [r.b_dot.values for r in distinct])
+        row = np.array(row_of_atom)
+        self.index = np.concatenate([row, row + len(distinct)])
+        self.lam0 = np.concatenate([lam0, lam0])[:, None]
+        self.force = np.concatenate([force, force])[:, None]
+        self.trapezoid = TrapezoidKernel(self.kernels, self.dt)
+        # the q-free part of E and D under the trapezoid rule
+        self.constant = self._q_free(prefix_trapezoid(self.kernels, self.dt))
 
-    def exponents_and_slopes(self, q: np.ndarray, conv=conv_trapezoid):
+    def _q_free(self, conv_one: np.ndarray) -> np.ndarray:
+        """lam0_a h + c_a conv(h, 1) per E and D row, from each kernel's conv(h, 1)."""
+        i = self.index
+        return self.lam0 * self.kernels[i] + self.force * conv_one[i]
+
+    def _split(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return stacked[: self.n_atoms], stacked[self.n_atoms :]
+
+    def exponents_and_slopes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per atom: exponent E_a(t) and its time-slope D_a(t) given forcing q.
 
         The survival probability is exp(-E_a) and the surviving intensity
-        mass is D_a * exp(-E_a).  ``conv`` selects the quadrature for the
-        forcing convolutions (diagnostics pass the Simpson variant).
+        mass is D_a * exp(-E_a).  Trapezoid quadrature: one forward FFT of
+        q and one batched inverse over the cached kernel spectra.
         """
-        E = np.empty((len(self.b), q.shape[0]))
-        D = np.empty_like(E)
-        for i in range(len(self.b)):
-            g = q + self.force[i]
-            E[i] = self.b[i] * self.lam0[i] + conv(self.b[i], g, self.dt)
-            D[i] = self.b_dot[i] * self.lam0[i] + conv(self.b_dot[i], g, self.dt)
-        return E, D
+        conv_q = self.trapezoid.apply(q)
+        return self._split(self.constant + conv_q[self.index])
 
-    def apply_map(self, q: np.ndarray, conv=conv_trapezoid) -> np.ndarray:
-        """One application of the fixed-point map to the forcing q."""
-        E, D = self.exponents_and_slopes(q, conv)
-        return (self.weight * self.beta_c) @ (D * np.exp(-E))
+    def simpson_exponents_and_slopes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """As :meth:`exponents_and_slopes`, with Simpson quadrature throughout."""
+        conv_q = conv_simpson(self.kernels, q, self.dt)
+        conv_one = conv_simpson(self.kernels, np.ones_like(q), self.dt)
+        return self._split(self._q_free(conv_one) + conv_q[self.index])
 
 
 @dataclass(frozen=True)
 class PicardResult:
-    """Converged contagion forcing plus iteration metadata."""
+    """Converged contagion forcing plus iteration metadata.
+
+    ``exponents`` and ``slopes`` are E and D (one row per atom) of the last
+    sweep, the sweep whose image is ``q``.
+    """
 
     q: Trajectory
     iterations: int
     residual: float
     residual_history: tuple[float, ...]
+    exponents: np.ndarray | None = field(default=None, compare=False, repr=False)
+    slopes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def solve_q(
@@ -123,15 +163,16 @@ def solve_q(
     values below -tol (the limit forcing is provably nonnegative, so
     anything materially negative is a bug, not round-off).
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    _check_iteration(tol, max_iter)
     if not 0.0 < relaxation <= 1.0:
         raise ValueError("relaxation must be in (0, 1]")
     kern = _AtomKernels(measure, riccati, grid)
+    contagion = kern.weight * kern.beta_c
     q = np.zeros(grid.n_points)
     history = []
     for iteration in range(1, max_iter + 1):
-        q_new = kern.apply_map(q)
+        E, D = kern.exponents_and_slopes(q)
+        q_new = contagion @ (D * np.exp(-E))
         if not np.all(np.isfinite(q_new)):
             raise NonFiniteResultError(
                 f"fixed-point sweep {iteration} produced non-finite forcing"
@@ -159,19 +200,39 @@ def solve_q(
         iterations=iteration,
         residual=residual,
         residual_history=tuple(history),
+        exponents=_read_only(E),
+        slopes=_read_only(D),
     )
+
+
+def _check_iteration(tol: float, max_iter: int) -> None:
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ValueError("tol must be finite and > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def compute_f(
     measure: DiscreteTypeMeasure,
     riccati: tuple[RiccatiSolution, ...],
     q: Trajectory,
+    exponents: np.ndarray | None = None,
 ) -> Trajectory:
-    """Limit default rate F(t) = 1 - weighted sum of atom survival factors."""
-    kern = _AtomKernels(measure, riccati, q.grid)
-    E, _ = kern.exponents_and_slopes(q.values)
-    f = 1.0 - kern.weight @ np.exp(-E)
-    return Trajectory(q.grid, f)
+    """Limit default rate F(t) = 1 - weighted sum of atom survival factors.
+
+    Given ``exponents`` (one row of E per atom, such as those
+    :func:`solve_q` keeps from its last sweep), F is built from them
+    instead of evaluating E at q again.
+    """
+    if exponents is None:
+        exponents, _ = _AtomKernels(measure, riccati, q.grid).exponents_and_slopes(q.values)
+    weight = np.array([a.weight for a in measure.atoms])
+    return Trajectory(q.grid, 1.0 - weight @ np.exp(-exponents))
 
 
 def f_derivative(
@@ -230,8 +291,7 @@ def solve_homogeneous_f(
     self-reference and the first sweep already lands on the explicit
     contagion-free formula.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    _check_iteration(tol, max_iter)
     ric = solve_riccati(firm_type, grid, method)
     b = ric.b.values
     b_dot = ric.b_dot.values
@@ -251,7 +311,12 @@ def solve_homogeneous_f(
 
 @dataclass(frozen=True)
 class LimitSolution:
-    """Everything the limit solver produces for one measure and grid."""
+    """Everything the limit solver produces for one measure and grid.
+
+    ``exponents`` and ``slopes`` are the per-atom E and D of the last
+    Picard sweep: atom a survives with probability exp(-E_a), its
+    surviving intensity mass is D_a exp(-E_a), and F is built from them.
+    """
 
     measure: DiscreteTypeMeasure
     riccati: tuple[RiccatiSolution, ...]
@@ -260,6 +325,8 @@ class LimitSolution:
     iterations: int
     residual: float
     residual_history: tuple[float, ...] = ()
+    exponents: np.ndarray | None = field(default=None, compare=False, repr=False)
+    slopes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def grid(self) -> TimeGrid:
@@ -274,11 +341,11 @@ def solve_limit(
     method: str = "closed_form",
     relaxation: float = 1.0,
 ) -> LimitSolution:
-    """Full limit pipeline: per-atom Riccati, contagion fixed point, F."""
+    """Full limit pipeline: Riccati per firm type, contagion fixed point, F."""
     riccati = riccati_for_measure(measure, grid, method)
     picard = solve_q(measure, riccati, grid, tol=tol, max_iter=max_iter,
                      relaxation=relaxation)
-    f = compute_f(measure, riccati, picard.q)
+    f = compute_f(measure, riccati, picard.q, exponents=picard.exponents)
     return LimitSolution(
         measure=measure,
         riccati=riccati,
@@ -287,6 +354,8 @@ def solve_limit(
         iterations=picard.iterations,
         residual=picard.residual,
         residual_history=picard.residual_history,
+        exponents=picard.exponents,
+        slopes=picard.slopes,
     )
 
 
@@ -302,7 +371,7 @@ def contagion_identity_rhs(limit: LimitSolution) -> Trajectory:
     surviving intensity mass is extinct anywhere on the grid.
     """
     kern = _AtomKernels(limit.measure, limit.riccati, limit.grid)
-    E, D = kern.exponents_and_slopes(limit.q.values, conv=conv_simpson)
+    E, D = kern.simpson_exponents_and_slopes(limit.q.values)
     masses = kern.weight[:, None] * D * np.exp(-E)
     denom = masses.sum(axis=0)
     if denom.min() <= EXTINCTION_FLOOR:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from creditpool import convergence
 from creditpool.cli import main
 
 SMALL_GRID = ["--set", "grid.n_steps=80"]
@@ -75,6 +76,45 @@ class TestLimitCommand:
             ["limit", "--config", str(out1 / "limit_manifest.json"), "--out", str(out2)]
         ) == 0
         assert (out1 / "limit.csv").read_bytes() == (out2 / "limit.csv").read_bytes()
+
+    def test_manifest_records_convergence_and_write_time(self, tmp_path):
+        assert main(["limit", "--out", str(tmp_path), *SMALL_GRID]) == 0
+        manifest = json.loads((tmp_path / "limit_manifest.json").read_text())
+        history = manifest["residual_history"]
+        assert len(history) == manifest["solver_iterations"]
+        assert history[-1] == manifest["solver_residual"]
+        assert manifest["timing"]["write_seconds"] >= 0.0
+
+    def test_atoms_of_one_type_write_equal_b_columns(self, tmp_path):
+        atom = {"alpha": 4.0, "lambda_bar": 0.5, "sigma": 0.9, "beta_c": 2.0}
+        atoms = json.dumps([dict(atom, lambda_init=0.2, weight=0.5),
+                            dict(atom, lambda_init=0.8, weight=0.5)])
+        assert main(["limit", "--out", str(tmp_path), *SMALL_GRID,
+                     "--set", f"measure.atoms={atoms}"]) == 0
+        header, rows = read_csv(tmp_path / "limit.csv")
+        assert column(header, rows, "b_0", str) == column(header, rows, "b_1", str)
+
+    @pytest.mark.parametrize("override", [
+        "solver.tol=0",
+        "solver.tol=-1e-8",
+        "solver.tol=true",
+        "solver.relaxation=0",
+        "solver.relaxation=2",
+        'solver.method="x"',
+        "solver.max_iter=0",
+        "solver.max_iter=2.5",
+        "grid.n_steps=1.5",
+        'grid.n_steps="many"',
+    ])
+    def test_invalid_solver_or_grid_value_exit_code(self, tmp_path, capsys, override):
+        code = main(["limit", "--out", str(tmp_path), *SMALL_GRID, "--set", override])
+        assert code == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+
+    def test_integral_float_step_count_accepted(self, tmp_path):
+        assert main(["limit", "--out", str(tmp_path), "--set", "grid.n_steps=80.0"]) == 0
+        _, rows = read_csv(tmp_path / "limit.csv")
+        assert len(rows) == 81
 
     def test_csv_floats_round_trip(self, tmp_path):
         assert main(["limit", "--out", str(tmp_path), *SMALL_GRID]) == 0
@@ -163,6 +203,45 @@ class TestConvergeCommand:
         assert manifest["solver_residual"] <= 1e-10
         assert "median_violations" in manifest
         assert manifest["rng_contract"] == 2
+
+    @pytest.mark.parametrize("override", [
+        "converge.n_reps=1",
+        "converge.n_reps=2.5",
+        'converge.n_values=["a"]',
+        "converge.n_values=[0]",
+        "converge.n_values=[]",
+    ])
+    def test_invalid_converge_value_exit_code(self, tmp_path, capsys, override):
+        code = main(["converge", "--out", str(tmp_path), "--set", "grid.n_steps=50",
+                     "--set", override])
+        assert code == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """The keyword arguments of every solve_limit call made by the experiments."""
+    calls = []
+    original = convergence.solve_limit
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "solve_limit", recording)
+    return calls
+
+
+@pytest.mark.parametrize("command, args", [
+    ("converge", ["--set", "converge.n_values=[20]", "--set", "converge.n_reps=2"]),
+    ("figures", []),
+])
+def test_relaxation_reaches_the_solver(tmp_path, recorded_solves, command, args):
+    code = main([command, "--out", str(tmp_path), "--set", "grid.n_steps=40",
+                 "--set", "solver.relaxation=0.5", *args])
+    assert code == 0
+    assert recorded_solves
+    assert all(call["relaxation"] == 0.5 for call in recorded_solves)
 
 
 class TestFiguresCommand:

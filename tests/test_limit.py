@@ -14,11 +14,14 @@ from creditpool import (
     effective_contagion_weight,
     f_derivative,
     homogeneous_measure,
+    product_measure,
     riccati_for_measure,
     solve_homogeneous_f,
     solve_limit,
     solve_q,
+    solve_riccati,
 )
+from creditpool import limit as limit_module
 
 from conftest import BASE, BASE_LAMBDA_INIT
 
@@ -215,3 +218,82 @@ class TestSolveLimit:
         assert sol.f.values[0] == 0.0
         assert np.all(np.diff(sol.f.values) >= -1e-12)
         assert np.all(sol.f.values <= 1.0 + 1e-12)
+
+
+def per_atom_picard(measure, grid, tol):
+    """Reference Picard loop: one direct trapezoid convolution per atom and kernel."""
+
+    def trap(h, g):
+        n, dt = len(h), grid.dt
+        out = dt * (np.convolve(h, g)[:n] - 0.5 * h * g[0] - 0.5 * h[0] * g)
+        out[0] = 0.0
+        return out
+
+    riccati = [solve_riccati(a.firm_type, grid) for a in measure.atoms]
+    q = np.zeros(grid.n_points)
+    for _ in range(200):
+        E, D = [], []
+        for atom, ric in zip(measure.atoms, riccati):
+            g = q + atom.firm_type.alpha * atom.firm_type.lambda_bar
+            E.append(ric.b.values * atom.lambda_init + trap(ric.b.values, g))
+            D.append(ric.b_dot.values * atom.lambda_init + trap(ric.b_dot.values, g))
+        E, D = np.array(E), np.array(D)
+        coef = np.array([a.weight * a.firm_type.beta_c for a in measure.atoms])
+        q_new = coef @ (D * np.exp(-E))
+        residual = np.max(np.abs(q_new - q))
+        q = q_new
+        if residual <= tol:
+            return q, E, D
+
+
+@pytest.fixture
+def two_by_three():
+    types = [(FirmType(4.0, 0.5, 0.9, 2.0), 0.5), (FirmType(2.0, 0.3, 0.5, 1.0), 0.3),
+             (FirmType(6.0, 0.8, 1.2, 3.0), 0.2)]
+    return product_measure(types, [(0.2, 0.5), (0.9, 0.5)])
+
+
+class TestBatchedKernel:
+    def test_picard_matches_per_atom_reference(self, two_by_three):
+        grid = TimeGrid(1.0, 300)
+        q_ref, E_ref, D_ref = per_atom_picard(two_by_three, grid, 1e-12)
+        _, picard = solve_pool(two_by_three, grid, tol=1e-12)
+        assert np.max(np.abs(picard.q.values - q_ref)) <= 1e-13
+        assert np.max(np.abs(picard.exponents - E_ref)) <= 1e-13
+        assert np.max(np.abs(picard.slopes - D_ref)) <= 1e-13
+
+    def test_atoms_of_one_type_share_a_riccati_solve(self, two_by_three, monkeypatch):
+        calls = []
+
+        def counting(firm_type, grid, method="closed_form"):
+            calls.append(firm_type)
+            return solve_riccati(firm_type, grid, method)
+
+        monkeypatch.setattr(limit_module, "solve_riccati", counting)
+        riccati = riccati_for_measure(two_by_three, TimeGrid(1.0, 50))
+        assert len(calls) == 3 and len(set(calls)) == 3
+        assert len(riccati) == 6
+        assert riccati[0] is riccati[1] and riccati[2] is riccati[3]
+        assert riccati[1] is not riccati[2]
+
+    def test_solution_keeps_exponents_of_its_last_sweep(self, two_by_three, grid_coarse):
+        sol = solve_limit(two_by_three, grid_coarse)
+        weights = np.array([a.weight for a in two_by_three.atoms])
+        contagion = weights * np.array([a.firm_type.beta_c for a in two_by_three.atoms])
+        survival = np.exp(-sol.exponents)
+        assert sol.exponents.shape == sol.slopes.shape == (6, grid_coarse.n_points)
+        assert np.max(np.abs(sol.f.values - (1.0 - weights @ survival))) == 0.0
+        # q is the image of that sweep: the Picard identity holds to round-off
+        assert np.max(np.abs(sol.q.values - contagion @ (sol.slopes * survival))) <= 1e-15
+        # and F from the stored exponents differs from a fresh evaluation at q
+        # by no more than the stopping tolerance
+        fresh = compute_f(two_by_three, sol.riccati, sol.q)
+        assert sol.f.sup_distance(fresh) <= 1e-10
+        with pytest.raises(ValueError):
+            sol.exponents[0, 0] = 1.0
+
+    def test_max_iter_must_be_positive(self, base_measure, grid_coarse):
+        with pytest.raises(ValueError):
+            solve_pool(base_measure, grid_coarse, max_iter=0)
+        with pytest.raises(ValueError):
+            solve_homogeneous_f(BASE, BASE_LAMBDA_INIT, grid_coarse, max_iter=0)
