@@ -169,14 +169,14 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
     return config
 
 
-def _require(section: dict, key: str, kind, where: str):
-    value = section[key]
-    if isinstance(value, bool):  # float(True) would read as 1.0
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+def _number(value, where: str) -> float:
+    """A JSON number as a float; never a boolean, which float() reads as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _integer(value, where: str) -> int:
@@ -190,7 +190,7 @@ def _integer(value, where: str) -> int:
 
 def build_measure(config: dict) -> tuple[DiscreteTypeMeasure, float]:
     section = config["measure"]
-    cap = _require(section, "cap", float, "measure")
+    cap = _number(section["cap"], "measure.cap")
     atoms = []
     for i, entry in enumerate(section["atoms"]):
         if not isinstance(entry, dict):
@@ -198,18 +198,20 @@ def build_measure(config: dict) -> tuple[DiscreteTypeMeasure, float]:
         unknown = set(entry) - _ATOM_KEYS
         if unknown:
             raise ConfigError(f"measure.atoms[{i}] has unknown keys: {sorted(unknown)}")
+        fields = {key: _number(value, f"measure.atoms[{i}].{key}")
+                  for key, value in entry.items()}
         try:
             atoms.append(
                 TypeAtom(
                     firm_type=FirmType(
-                        alpha=entry.get("alpha", 0.0),
-                        lambda_bar=entry.get("lambda_bar", 0.0),
-                        sigma=entry.get("sigma", 0.0),
-                        beta_c=entry.get("beta_c", 0.0),
-                        beta_s=entry.get("beta_s", 0.0),
+                        alpha=fields.get("alpha", 0.0),
+                        lambda_bar=fields.get("lambda_bar", 0.0),
+                        sigma=fields.get("sigma", 0.0),
+                        beta_c=fields.get("beta_c", 0.0),
+                        beta_s=fields.get("beta_s", 0.0),
                     ),
-                    lambda_init=entry.get("lambda_init", 0.0),
-                    weight=entry.get("weight", 1.0),
+                    lambda_init=fields.get("lambda_init", 0.0),
+                    weight=fields.get("weight", 1.0),
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -228,10 +230,10 @@ def build_factor(config: dict) -> SystematicFactorConfig:
         raise ConfigError("factor.eps must be {kind, value}")
     try:
         return SystematicFactorConfig(
-            gamma=section["gamma"],
-            x_init=section["x_init"],
+            gamma=_number(section["gamma"], "factor.gamma"),
+            x_init=_number(section["x_init"], "factor.x_init"),
             eps=EpsSchedule(kind=eps.get("kind", "inverse_sqrt"),
-                            value=eps.get("value", 1.0)),
+                            value=_number(eps.get("value", 1.0), "factor.eps.value")),
         )
     except ValueError as exc:
         raise ConfigError(f"factor: {exc}") from exc
@@ -241,7 +243,7 @@ def build_grid(config: dict) -> TimeGrid:
     section = config["grid"]
     n_steps = _integer(section["n_steps"], "grid.n_steps")
     try:
-        return TimeGrid(t_end=section["t_end"], n_steps=n_steps)
+        return TimeGrid(t_end=_number(section["t_end"], "grid.t_end"), n_steps=n_steps)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -257,10 +259,10 @@ class SolverSettings:
 def build_solver(config: dict) -> SolverSettings:
     section = config["solver"]
     settings = SolverSettings(
-        tol=_require(section, "tol", float, "solver"),
+        tol=_number(section["tol"], "solver.tol"),
         max_iter=_integer(section["max_iter"], "solver.max_iter"),
         method=section["method"],
-        relaxation=_require(section, "relaxation", float, "solver"),
+        relaxation=_number(section["relaxation"], "solver.relaxation"),
     )
     if not (settings.tol > 0.0 and math.isfinite(settings.tol)):
         raise ConfigError(f"solver.tol must be finite and > 0, got {settings.tol!r}")

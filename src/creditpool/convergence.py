@@ -107,7 +107,8 @@ def lln_experiment(
     cells = []
     for n_firms in n_values:
         config = SimConfig(
-            n_firms=n_firms, measure=measure, factor=factor, grid=grid, seed=seed
+            n_firms=n_firms, measure=measure, factor=factor, grid=grid, seed=seed,
+            record_moments=False,
         )
         started = time.perf_counter()
         reps = run_replications(config, n_reps)

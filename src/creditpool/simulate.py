@@ -13,24 +13,30 @@ the integrated intensity, and default detection at step ends with the
 whole batch of simultaneous defaults applied at once to every survivor.
 
 Batching: replications are stepped together.  The state of a batch is a
-set of ``(replications, firms)`` arrays and one time step is one pass of
-numpy operations over them.  :func:`run_replications` cuts its
-replications into batches of ``max(1, _CELL_BUDGET // N)``, and
-:func:`simulate` is a batch of one.  Memory is O(batch cells), not
-O(N * n_steps): normals are drawn a block of steps at a time.
+set of flat arrays over its live ``(replication, firm)`` cells and one
+time step is one pass of numpy operations over them.
+:func:`run_replications` cuts its replications into batches of
+``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
+Normals are drawn half a ``_NORMAL_BLOCK`` of steps at a time by one
+helper thread, into one of two buffers while the stepping reads the
+other, so memory is O(batch cells), not O(N * n_steps).  At each buffer
+boundary the cells of defaulted firms are dropped (compaction); within a
+block a firm that has defaulted is still stepped, but no output reads it.
 
 Reproducibility (``RNG_CONTRACT`` 2): replication r of seed s draws its
 firm noise from one counter-based Philox stream keyed by ``(s, r)``: N
 standard-exponential thresholds first, then N standard normals per step,
 in step order.  The shared factor and the sampled atom assignment have
 streams of their own under the same key.  A replication's output is
-therefore bit-identical however the replications are batched, but a
-firm's noise depends on N.
+therefore bit-identical however the replications are batched, and
+neither the helper thread nor compaction changes a bit; a firm's noise
+does depend on N.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +64,14 @@ _STREAM_ASSIGN = 2
 
 # Replications x firms stepped together.  Small pools share a batch, so
 # per-step interpreter overhead is paid once for many replications; the
-# cap bounds a batch's memory (its normals buffer is at most
-# _NORMAL_BLOCK * _CELL_BUDGET doubles, 16 MB).  Speed is flat from 2**12
-# to 2**18 cells at N = 100 .. 1e4.
+# cap bounds a batch's memory (its two normals buffers hold at most
+# _NORMAL_BLOCK * _CELL_BUDGET doubles together, 16 MB).  Compaction only
+# shrinks the per-cell state below this cap.
 _CELL_BUDGET = 1 << 16
 
-# Steps of normals drawn at once per replication.  Part of no contract:
-# a stream's draws do not depend on how they are blocked.
+# Steps of normals in the two buffers together: each holds half of them,
+# and the live cells are compacted once per half.  Part of no contract: a
+# stream's draws do not depend on how they are blocked.
 _NORMAL_BLOCK = 32
 
 
@@ -135,6 +142,55 @@ def _atom_assignment(config: SimConfig, replication: int) -> np.ndarray:
     return rng.choice(len(weights), size=config.n_firms, p=weights / weights.sum())
 
 
+class _Prefetch:
+    """Run ``fill(0)``, ``fill(1)``, ... on one helper thread, one ahead.
+
+    Double buffering: ``fill(i)`` writes buffer ``i % 2``.  Each call of
+    :meth:`next` waits for the next fill and frees the buffer read before
+    it, so the helper fills block i + 1 while the caller reads block i.
+    An exception raised by ``fill`` is raised again by :meth:`next`;
+    leaving the ``with`` block stops the helper and joins it.
+    """
+
+    def __init__(self, fill, count: int):
+        self._fill = fill
+        self._count = count
+        self._free = threading.Semaphore(2)  # buffers the helper may fill
+        self._filled = threading.Semaphore(0)  # filled buffers not yet read
+        self._read = 0
+        self._stop = False
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._run, name="creditpool-normals")
+
+    def __enter__(self) -> _Prefetch:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()  # wakes a helper waiting for a buffer
+        self._thread.join()
+
+    def _run(self) -> None:
+        for i in range(self._count):
+            self._free.acquire()
+            if self._stop or self._error is not None:
+                return
+            try:
+                self._fill(i)
+            except Exception as exc:  # raised again on the caller's thread
+                self._error = exc
+            self._filled.release()
+
+    def next(self) -> None:
+        if self._read:
+            self._free.release()
+        self._read += 1
+        self._filled.acquire()
+        if self._error is not None:
+            raise self._error
+
+
 def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     """Step the given replications together; one result per replication.
 
@@ -145,26 +201,15 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     grid = config.grid
     n_steps = grid.n_steps
     dt = grid.dt
+    half_dt = 0.5 * dt
     sqdt = math.sqrt(dt)
     width = len(replications)
 
     atoms = config.measure.atoms
-    atom_idx = np.stack([_atom_assignment(config, r) for r in replications])
+    atom_idx = np.stack([_atom_assignment(config, r) for r in replications]).ravel()
 
-    def per_firm(values) -> np.ndarray:
-        return np.array(values)[atom_idx]
-
-    neg_alpha = -per_firm([a.firm_type.alpha for a in atoms])
-    lbar = per_firm([a.firm_type.lambda_bar for a in atoms])
-    sigma = per_firm([a.firm_type.sigma for a in atoms])
-    beta_c = per_firm([a.firm_type.beta_c for a in atoms])
-    lam = per_firm([a.lambda_init for a in atoms])
-
-    firm_rngs = [np.random.Generator(np.random.Philox(
-        _seed_sequence(config.seed, r, _STREAM_FIRM))) for r in replications]
-    thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
-    block = min(_NORMAL_BLOCK, n_steps)
-    normals = np.empty((width, block, n))
+    def per_cell(values) -> np.ndarray:
+        return np.array(values, dtype=float)[atom_idx]
 
     gamma = config.factor.gamma
     ou_decay = math.exp(-gamma * dt)
@@ -175,76 +220,149 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     # measure, not from the firms a replication drew, keeps every
     # replication of a batch on the same arithmetic.
     factor_active = eps != 0.0 and any(a.firm_type.beta_s != 0.0 for a in atoms)
-    if factor_active:
-        exposure = eps * per_firm([a.firm_type.beta_s for a in atoms])
-        factor_rngs = [np.random.default_rng(_seed_sequence(config.seed, r, _STREAM_FACTOR))
-                       for r in replications]
-        factor_normals = np.empty((width, block))
-        x = np.full(width, config.factor.x_init)
+    x = np.full(width, config.factor.x_init)
 
-    integrated = np.zeros((width, n))
-    alive = np.ones((width, n), dtype=bool)
+    firm_rngs = [np.random.Generator(np.random.Philox(
+        _seed_sequence(config.seed, r, _STREAM_FIRM))) for r in replications]
+    factor_rngs = [np.random.default_rng(_seed_sequence(config.seed, r, _STREAM_FACTOR))
+                   for r in replications] if factor_active else []
+
+    # One column per cell of the flattened (replication, firm) grid.  The
+    # first `live` columns are the cells still alive at the last buffer
+    # boundary, in (replication, firm) order; compaction moves them down in
+    # place.  Rows of `table`: -alpha, lambda_bar, sigma, beta_c, factor
+    # exposure, intensity, integrated intensity, threshold.  Rows of `ids`:
+    # flat cell index, replication in the batch, offset of the cell's first
+    # normal in a buffer.
+    block = min(_NORMAL_BLOCK // 2, n_steps)  # steps per normals buffer
+    cell = np.arange(width * n)
+    table = np.stack([
+        -per_cell([a.firm_type.alpha for a in atoms]),
+        per_cell([a.firm_type.lambda_bar for a in atoms]),
+        per_cell([a.firm_type.sigma for a in atoms]),
+        per_cell([a.firm_type.beta_c for a in atoms]),
+        eps * per_cell([a.firm_type.beta_s for a in atoms]),
+        per_cell([a.lambda_init for a in atoms]),
+        np.zeros(width * n),
+        np.concatenate([g.standard_exponential(n) for g in firm_rngs]),
+    ])
+    ids = np.stack([cell, cell // n, cell // n * (block * n) + cell % n])
+    live = width * n
+    flags = np.ones((2, live), dtype=bool)  # rows: alive, defaulting this step
+    alive = flags[0]
+    work = np.empty((4, live))
+
+    # Two buffers of `block` steps each: the helper thread draws the next
+    # block into one while this thread steps through the other.  Normals
+    # are stored already scaled by sqrt(dt) (the same product the step
+    # would take), replication-major so each stream fills a contiguous run.
+    normals = np.empty((2, width, block, n))
+    factor_normals = np.empty((2, width, block))
+
+    def draw(i: int) -> None:
+        count = min(block, n_steps - i * block)
+        for g, out in zip(firm_rngs, normals[i % 2]):
+            g.standard_normal((count, n), out=out[:count])
+            out[:count] *= sqdt
+        for g, out in zip(factor_rngs, factor_normals[i % 2]):
+            g.standard_normal(count, out=out[:count])
+
     defaults = np.zeros(width, dtype=np.int64)
     l_path = np.zeros((width, n_steps + 1))
-    default_times = np.full((width, n), np.nan)
+    default_times = np.full(width * n, np.nan)
     if config.record_moments:
+        # every firm's latest intensity; a defaulted firm's stays frozen
+        frozen = table[5].copy()
         m1 = np.empty((width, n_steps + 1))
         m2 = np.empty((width, n_steps + 1))
-        pos0 = np.maximum(lam, 0.0)
-        m1[:, 0] = pos0.mean(axis=1)
-        m2[:, 0] = np.mean(pos0 * pos0, axis=1)
 
-    for k in range(n_steps):
-        j = k % block
-        if j == 0:
-            drawn = min(block, n_steps - k)
-            for g, out in zip(firm_rngs, normals):
-                g.standard_normal((drawn, n), out=out[:drawn])
-            if factor_active:
-                for g, out in zip(factor_rngs, factor_normals):
-                    g.standard_normal(drawn, out=out[:drawn])
+        def record(k: int) -> None:
+            pos = np.maximum(frozen.reshape(width, n), 0.0)
+            m1[:, k] = pos.mean(axis=1)
+            m2[:, k] = np.mean(pos * pos, axis=1)
 
-        if factor_active:
-            x_new = x * ou_decay + ou_scale * factor_normals[:, j]
-            dx = (x_new - x)[:, None]
-            x = x_new
+        record(0)
 
-        lam_plus = np.maximum(lam, 0.0)
-        # overflow here is reported as NonFiniteStateError, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            incr = (
-                neg_alpha * (lam_plus - lbar) * dt
-                + sigma * np.sqrt(lam_plus) * (sqdt * normals[:, j])
-            )
-            if factor_active:
-                incr += exposure * lam_plus * dx
-            lam_new = np.where(alive, lam + incr, lam)
-        finite = np.isfinite(lam_new)
-        if not finite.all():
-            rep, firm = np.unravel_index(np.argmin(finite), finite.shape)
-            raise NonFiniteStateError(replications[rep], int(firm), k + 1)
-        integrated = np.where(
-            alive,
-            integrated + 0.5 * dt * (lam_plus + np.maximum(lam_new, 0.0)),
-            integrated,
-        )
-        lam = lam_new
+    n_blocks = -(-n_steps // block)
+    with _Prefetch(draw, n_blocks) as prefetch, np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_blocks):
+            prefetch.next()
+            start, buf = i * block, i % 2
 
-        newly = alive & (integrated >= thresholds)
-        if newly.any():
-            d = np.count_nonzero(newly, axis=1)
-            alive &= ~newly
-            default_times[newly] = (k + 1) * dt
-            defaults += d
-            # one batched jump: d defaults each contribute beta_c / N
-            lam = np.where(alive, lam + d[:, None] * beta_c / n, lam)
-        l_path[:, k + 1] = defaults / n
+            # Compact: drop the cells that defaulted in the previous block.
+            # Within a block a defaulted cell is still stepped, but nothing
+            # reads it: `alive` masks it out of detection, the finiteness
+            # check and the moments.
+            if not alive.all():
+                keep = np.flatnonzero(alive)
+                live = len(keep)
+                for row in (*table, *ids):
+                    row[:live] = row[keep]
+                flags[0, :live] = True
+            neg_alpha, lbar, sigma, beta_c, exposure, lam, integrated, thresholds = table[:, :live]
+            cell, rep, offset = ids[:, :live]
+            alive, hit = flags[:, :live]
+            lam_plus, incr, term, scratch = work[:, :live]
+            flat_normals = normals[buf].reshape(-1)
 
-        if config.record_moments:
-            pos = np.maximum(lam, 0.0)
-            m1[:, k + 1] = pos.mean(axis=1)
-            m2[:, k + 1] = np.mean(pos * pos, axis=1)
+            # One step, in place:  with lam+ = max(lam, 0),
+            #   lam += -alpha (lam+ - lbar) dt + sigma sqrt(lam+) (sqrt(dt) Z)
+            #          + exposure lam+ dx,
+            #   integrated += dt/2 (lam+ + max(lam, 0)),
+            # each product taken in the order written, so the bits match
+            # the formula evaluated term by term.
+            for k in range(start, min(start + block, n_steps)):
+                j = k - start
+                np.maximum(lam, 0.0, out=lam_plus)
+                np.subtract(lam_plus, lbar, out=incr)
+                incr *= neg_alpha
+                incr *= dt
+                np.sqrt(lam_plus, out=term)
+                term *= sigma
+                term *= np.take(flat_normals[j * n:], offset, out=scratch, mode="clip")
+                incr += term
+                if factor_active:
+                    x_new = x * ou_decay + ou_scale * factor_normals[buf, :, j]
+                    dx = x_new - x
+                    x = x_new
+                    np.multiply(exposure, lam_plus, out=term)
+                    term *= np.take(dx, rep, out=scratch, mode="clip")
+                    incr += term
+                lam += incr
+                finite = np.isfinite(lam)
+                if not finite.all():
+                    bad = np.flatnonzero(alive & ~finite)
+                    if bad.size:
+                        r, firm = divmod(int(cell[bad[0]]), n)
+                        raise NonFiniteStateError(replications[r], firm, k + 1)
+                np.maximum(lam, 0.0, out=term)
+                term += lam_plus
+                term *= half_dt
+                integrated += term
 
+                np.greater_equal(integrated, thresholds, out=hit)
+                hit &= alive
+                if hit.any():
+                    newly = np.flatnonzero(hit)
+                    d = np.bincount(rep[newly], minlength=width)
+                    alive[newly] = False
+                    default_times[cell[newly]] = (k + 1) * dt
+                    defaults += d
+                    if config.record_moments:
+                        frozen[cell[newly]] = lam[newly]
+                    # one batched jump: d defaults each contribute beta_c / N
+                    # (defaulted cells jump too, but nothing reads them)
+                    jump = np.take(d.astype(float), rep, out=scratch, mode="clip")
+                    jump *= beta_c
+                    jump /= n
+                    lam += jump
+                l_path[:, k + 1] = defaults / n
+
+                if config.record_moments:
+                    frozen[cell[alive]] = lam[alive]
+                    record(k + 1)
+
+    default_times = default_times.reshape(width, n)
     results = []
     for i, r in enumerate(replications):
         moments = None

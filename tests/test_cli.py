@@ -168,6 +168,24 @@ class TestSimulateCommand:
         field = override.split("=")[0].split(".")[1]
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, where", [
+        ("measure.atoms.0.alpha=true", "measure.atoms[0].alpha"),
+        ("measure.atoms.0.weight=true", "measure.atoms[0].weight"),
+        ("measure.atoms.0.lambda_init=false", "measure.atoms[0].lambda_init"),
+        ("factor.gamma=true", "factor.gamma"),
+        ("factor.x_init=true", "factor.x_init"),
+        ("factor.eps.value=true", "factor.eps.value"),
+        ("grid.t_end=true", "grid.t_end"),
+        ("factor.gamma=null", "factor.gamma"),
+        ("grid.t_end=null", "grid.t_end"),
+    ])
+    def test_non_number_rejected(self, tmp_path, capsys, override, where):
+        # float(True) is 1.0, so a boolean ran to exit 0; float(None) escaped
+        # as a TypeError with exit 1
+        code = main(["simulate", "--out", str(tmp_path), *SIM_ARGS, "--set", override])
+        assert code == 2
+        assert where in capsys.readouterr().err
+
     def test_single_firm_pool_levels(self, tmp_path):
         code = main(
             ["simulate", "--out", str(tmp_path), "--set", "sim.n_firms=1",

@@ -1,3 +1,7 @@
+import hashlib
+import math
+import sys
+import threading
 import tracemalloc
 from importlib import import_module
 
@@ -27,6 +31,14 @@ from conftest import BASE
 
 # the package exports the function simulate under the module's name
 simulate_module = import_module("creditpool.simulate")
+
+
+TWO_ATOMS = DiscreteTypeMeasure(
+    (
+        TypeAtom(FirmType(4.0, 0.5, 0.9, 2.0, beta_s=1.0), 0.5, 0.5),
+        TypeAtom(FirmType(2.0, 0.3, 0.6, 1.0, beta_s=2.0), 0.3, 0.5),
+    )
+)
 
 
 def make_config(n_firms=200, grid=None, seed=123, measure=None, factor=None, **kw):
@@ -263,3 +275,219 @@ class TestAssignment:
             make_config(assignment="alphabetical")
         with pytest.raises(ValueError):
             run_replications(make_config(), 0)
+
+
+def reference_batch(config, replications):
+    """The direct step loop: every firm of every replication each step, with
+    defaulted firms masked out, and one normal draw per step.
+
+    Returns ``(l_path, default_times, m1, m2)`` as ``(replications, ...)``
+    arrays.  The oracle for the compacted, prefetching kernel.
+    """
+    n, grid = config.n_firms, config.grid
+    dt, sqdt = grid.dt, math.sqrt(grid.dt)
+    atoms = config.measure.atoms
+    idx = np.stack([simulate_module._atom_assignment(config, r) for r in replications])
+
+    def per_firm(values):
+        return np.array(values)[idx]
+
+    def stream(r, tag):
+        return simulate_module._seed_sequence(config.seed, r, tag)
+
+    neg_alpha = -per_firm([a.firm_type.alpha for a in atoms])
+    lbar = per_firm([a.firm_type.lambda_bar for a in atoms])
+    sigma = per_firm([a.firm_type.sigma for a in atoms])
+    beta_c = per_firm([a.firm_type.beta_c for a in atoms])
+    lam = per_firm([a.lambda_init for a in atoms])
+    firm_rngs = [np.random.Generator(np.random.Philox(stream(r, simulate_module._STREAM_FIRM)))
+                 for r in replications]
+    thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
+
+    gamma = config.factor.gamma
+    ou_decay = math.exp(-gamma * dt)
+    ou_scale = math.sqrt((1.0 - math.exp(-2.0 * gamma * dt)) / (2.0 * gamma))
+    eps = config.factor.eps(n)
+    factor_active = eps != 0.0 and any(a.firm_type.beta_s != 0.0 for a in atoms)
+    exposure = eps * per_firm([a.firm_type.beta_s for a in atoms])
+    factor_rngs = [np.random.default_rng(stream(r, simulate_module._STREAM_FACTOR))
+                   for r in replications]
+    x = np.full(len(replications), config.factor.x_init)
+
+    integrated = np.zeros_like(lam)
+    alive = np.ones(lam.shape, dtype=bool)
+    defaults = np.zeros(len(replications), dtype=np.int64)
+    l_path = np.zeros((len(replications), grid.n_steps + 1))
+    default_times = np.full(lam.shape, np.nan)
+    m1, m2 = np.empty_like(l_path), np.empty_like(l_path)
+    pos = np.maximum(lam, 0.0)
+    m1[:, 0], m2[:, 0] = pos.mean(axis=1), np.mean(pos * pos, axis=1)
+
+    # the non-finite case overflows on purpose; it is reported, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.n_steps):
+            z = np.stack([g.standard_normal(n) for g in firm_rngs])
+            if factor_active:
+                factor_z = np.array([g.standard_normal() for g in factor_rngs])
+                x_new = x * ou_decay + ou_scale * factor_z
+                dx = (x_new - x)[:, None]
+                x = x_new
+            lam_plus = np.maximum(lam, 0.0)
+            incr = neg_alpha * (lam_plus - lbar) * dt + sigma * np.sqrt(lam_plus) * (sqdt * z)
+            if factor_active:
+                incr += exposure * lam_plus * dx
+            lam_new = np.where(alive, lam + incr, lam)
+            finite = np.isfinite(lam_new)
+            if not finite.all():
+                rep, firm = np.unravel_index(np.argmin(finite), finite.shape)
+                raise NonFiniteStateError(replications[rep], int(firm), k + 1)
+            integrated = np.where(
+                alive, integrated + 0.5 * dt * (lam_plus + np.maximum(lam_new, 0.0)), integrated
+            )
+            lam = lam_new
+            newly = alive & (integrated >= thresholds)
+            if newly.any():
+                d = np.count_nonzero(newly, axis=1)
+                alive &= ~newly
+                default_times[newly] = (k + 1) * dt
+                defaults += d
+                lam = np.where(alive, lam + d[:, None] * beta_c / n, lam)
+            l_path[:, k + 1] = defaults / n
+            pos = np.maximum(lam, 0.0)
+            m1[:, k + 1], m2[:, k + 1] = pos.mean(axis=1), np.mean(pos * pos, axis=1)
+    return l_path, default_times, m1, m2
+
+
+# Atom A: constant intensity 0.05, no contagion; its firms default one at a
+# time, at random steps.  Atom B: zero intensity and sigma = 1e308, until A's
+# first default jumps it to 3.0.  On the next step each B firm's noise
+# term overflows where |Z| > 2.08; the other B firms default or go negative.
+# So a replication's first A default decides whether it turns non-finite.
+N_NONFINITE = 12
+NONFINITE_MEASURE = DiscreteTypeMeasure(
+    (
+        TypeAtom(FirmType(0.0, 0.0, 0.0, 0.0), 0.05, 0.5),
+        TypeAtom(FirmType(0.0, 0.0, 1e308, 3.0 * N_NONFINITE), 0.0, 0.5),
+    )
+)
+
+
+class TestReferenceKernel:
+    """``run_replications`` against the direct masked loop, bit for bit."""
+
+    CASES = {
+        "factor": dict(n_firms=60, measure=TWO_ATOMS),
+        # up to six defaults in one step, and a beta_c that is no power of two
+        "no-factor": dict(n_firms=100, measure=homogeneous_measure(
+            FirmType(4.0, 2.0, 0.9, 1.3), 2.0)),
+        "sampled": dict(n_firms=60, measure=TWO_ATOMS, assignment="sampled"),
+        "single-firm": dict(n_firms=1, measure=homogeneous_measure(BASE, 3.0)),
+        # every firm defaults long before t_end: the live set empties
+        "all-default": dict(n_firms=40, measure=homogeneous_measure(
+            FirmType(1.0, 20.0, 0.9, 2.0), 20.0)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("width", [1, 2, 6])
+    def test_bit_identical_to_reference(self, monkeypatch, name, width):
+        # 77 steps: not a multiple of any buffer size, so the last block is partial
+        config = make_config(grid=TimeGrid(1.0, 77), seed=11, **self.CASES[name])
+        monkeypatch.setattr(simulate_module, "_CELL_BUDGET", width * config.n_firms)
+        results = run_replications(config, 6).results
+        l_path, default_times, m1, m2 = reference_batch(config, range(6))
+        if name == "all-default":
+            assert np.all(l_path[:, 40] == 1.0)
+        for i, result in enumerate(results):
+            np.testing.assert_array_equal(result.l_path.values, l_path[i])
+            np.testing.assert_array_equal(result.default_times, default_times[i])
+            np.testing.assert_array_equal(moment_diagnostic(result, 1).values, m1[i])
+            np.testing.assert_array_equal(moment_diagnostic(result, 2).values, m2[i])
+
+    def test_nonfinite_after_compaction_names_the_cell(self):
+        config = make_config(n_firms=N_NONFINITE, measure=NONFINITE_MEASURE,
+                             grid=TimeGrid(10.0, 40), seed=58)
+        # replication 0 loses firms before the first buffer boundary, so
+        # replication 1's cells sit at shifted places in the live arrays
+        _, default_times, _, _ = reference_batch(config, range(1))
+        assert np.sum(default_times <= 16 * config.grid.dt) >= 1
+        with pytest.raises(NonFiniteStateError) as expected:
+            reference_batch(config, range(3))
+        with pytest.raises(NonFiniteStateError) as err:
+            run_replications(config, 3)
+        got = (err.value.replication, err.value.firm, err.value.step)
+        assert got == (expected.value.replication, expected.value.firm, expected.value.step)
+        assert got == (1, 7, 25)
+
+
+class TestHelperThread:
+    def test_thread_joined_after_return_and_after_raise(self):
+        before = threading.active_count()
+        run_replications(make_config(n_firms=50, measure=TWO_ATOMS), 3)
+        assert threading.active_count() == before
+        config = make_config(n_firms=N_NONFINITE, measure=NONFINITE_MEASURE,
+                             grid=TimeGrid(10.0, 40), seed=58)
+        with pytest.raises(NonFiniteStateError):
+            run_replications(config, 3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("good_blocks", [0, 2])
+    def test_error_in_helper_reaches_caller(self, monkeypatch, good_blocks):
+        class BrokenNormals(np.random.Generator):
+            calls = 0
+
+            def standard_normal(self, *args, **kwargs):
+                BrokenNormals.calls += 1
+                if BrokenNormals.calls > good_blocks:
+                    raise MemoryError("no room for normals")
+                return super().standard_normal(*args, **kwargs)
+
+        # firm streams draw their thresholds here, their normals on the
+        # helper, one call per block of a single replication
+        monkeypatch.setattr(np.random, "Generator", BrokenNormals)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no room for normals"):
+            simulate(make_config(n_firms=20, grid=TimeGrid(1.0, 100)))
+        assert threading.active_count() == before
+
+    def test_bits_hold_under_thread_contention(self):
+        # four runs at once (eight threads on fewer cores) with the
+        # interpreter switching threads as often as it can: a buffer read
+        # while the helper refills it would move a bit
+        config = make_config(n_firms=60, measure=TWO_ATOMS, grid=TimeGrid(1.0, 77), seed=11)
+        expected = reference_batch(config, range(6))[0]
+        paths = [None] * 4
+
+        def work(slot):
+            reps = run_replications(config, 6)
+            paths[slot] = np.stack([r.l_path.values for r in reps.results])
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in paths:
+            np.testing.assert_array_equal(got, expected)
+
+
+# sha256 of the L paths and default times, replication by replication, of
+# GOLDEN_CONFIG's three replications under RNG_CONTRACT 2.  If a change
+# moves a simulated bit on purpose, bump RNG_CONTRACT and this digest.
+GOLDEN_SHA256 = "f70c7b6c310a838553c801e0ee44a41a175769012a0858a6e0bf133136df888a"
+
+
+def test_rng_contract_2_bits_pinned():
+    config = make_config(n_firms=50, measure=TWO_ATOMS, grid=TimeGrid(1.0, 100), seed=2024)
+    assert config.factor.eps(50) != 0.0  # the factor term runs
+    digest = hashlib.sha256()
+    for result in run_replications(config, 3).results:
+        digest.update(result.l_path.values.tobytes())
+        digest.update(result.default_times.tobytes())
+    assert simulate_module.RNG_CONTRACT == 2
+    assert digest.hexdigest() == GOLDEN_SHA256
