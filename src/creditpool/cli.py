@@ -4,6 +4,7 @@ The only module that touches files and process arguments.  Subcommands:
 
 * ``limit``     solve the large-pool limit, write t,F,Q,b_* columns
 * ``simulate``  run replications of the finite pool, write paths + aggregate
+  (+ intensity moments when ``sim.record_moments`` is set)
 * ``converge``  distance-versus-pool-size study, one CSV row per pool size
 * ``figures``   the three baked-in parameter-sweep curve families
 
@@ -51,7 +52,7 @@ from .model import (
     validate_measure,
 )
 from .riccati import METHODS
-from .simulate import RNG_CONTRACT, SimConfig, run_replications
+from .simulate import RNG_CONTRACT, SimConfig, moment_diagnostic, run_replications
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +83,7 @@ DEFAULT_CONFIG = {
         "n_reps": 20,
         "seed": 20260810,
         "assignment": "proportional",
-        "record_moments": True,
+        "record_moments": False,
     },
     "converge": {"n_values": [100, 1000, 10000], "n_reps": 20},
 }
@@ -100,11 +101,17 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(base[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
+        out[key] = _overlay(base[key], value, where)
     return out
+
+
+def _overlay(old, new, where: str):
+    """``new`` in place of ``old``; an object section takes only an object, merged into it."""
+    if not isinstance(old, dict):
+        return copy.deepcopy(new)
+    if not isinstance(new, dict):
+        raise ConfigError(f"{where} must be an object, got {new!r}")
+    return _deep_merge(old, new, where)
 
 
 def _parse_set(expr: str) -> tuple[list[str], object]:
@@ -136,7 +143,7 @@ def _apply_set(config: dict, segments: list[str], value, expr: str) -> None:
             if seg not in node:
                 raise ConfigError(f"unknown config key {seg!r} in --set {expr!r}")
             if last:
-                node[seg] = value
+                node[seg] = _overlay(node[seg], value, ".".join(segments))
             else:
                 node = node[seg]
         else:
@@ -191,6 +198,8 @@ def _integer(value, where: str) -> int:
 def build_measure(config: dict) -> tuple[DiscreteTypeMeasure, float]:
     section = config["measure"]
     cap = _number(section["cap"], "measure.cap")
+    if not isinstance(section["atoms"], list):
+        raise ConfigError(f"measure.atoms must be a list of objects, got {section['atoms']!r}")
     atoms = []
     for i, entry in enumerate(section["atoms"]):
         if not isinstance(entry, dict):
@@ -387,6 +396,16 @@ def _cmd_simulate(config: dict, out: Path) -> None:
         for k in range(grid.n_points)
     )
     _write_csv(out / "aggregate.csv", ["t", "mean", "q10", "q90"], agg)
+    if sim_config.record_moments:
+        t_column = _fmt_column(t)
+        moments = (
+            row
+            for r in reps.results
+            for row in zip(t_column, [str(r.replication)] * grid.n_points,
+                           _fmt_column(moment_diagnostic(r, 1).values),
+                           _fmt_column(moment_diagnostic(r, 2).values))
+        )
+        _write_csv(out / "moments.csv", ["t", "rep", "m1", "m2"], moments)
     write_seconds = time.perf_counter() - started - seconds
     _write_manifest(out / "simulate_manifest.json", "simulate", config, grid,
                     {"seconds": seconds, "write_seconds": write_seconds},

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import DegenerateMeasureError, NoConvergenceError, NonFiniteResultError
 from .model import DiscreteTypeMeasure, FirmType, TimeGrid, Trajectory
-from .quadrature import TrapezoidKernel, conv_simpson, conv_trapezoid, prefix_trapezoid
+from .quadrature import TrapezoidKernel, conv_simpson, prefix_trapezoid
+from .quadrature import conv_trapezoid  # noqa: F401 - perfbench patches it here
 from .riccati import RiccatiSolution, solve_riccati
 
 DEFAULT_TOL = 1e-10
@@ -297,9 +298,10 @@ def solve_homogeneous_f(
     b_dot = ric.b_dot.values
     dt = grid.dt
     base = firm_type.alpha * firm_type.lambda_bar * prefix_trapezoid(b, dt) + b * lambda_init
+    kernel = TrapezoidKernel(b_dot, dt)
     f = np.zeros(grid.n_points)
     for iteration in range(1, max_iter + 1):
-        f_new = 1.0 - np.exp(-base - firm_type.beta_c * conv_trapezoid(b_dot, f, dt))
+        f_new = 1.0 - np.exp(-base - firm_type.beta_c * kernel.apply(f))
         residual = float(np.max(np.abs(f_new - f)))
         f = f_new
         if residual <= tol:

@@ -18,6 +18,8 @@ order more accurate) is provided for diagnostics that need an evaluation
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # Composite Simpson weights follow the parity of the integrand index j
@@ -28,6 +30,7 @@ import numpy as np
 _SIMPSON_ODD_TAIL = np.array([1.0, -5.0, 11.0, -23.0]) / 24.0
 
 
+@lru_cache(maxsize=64)  # a solve asks for the same few lengths many times
 def fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= 2n - 1, so a length-n prefix never wraps."""
     target = max(2 * n - 1, 1)

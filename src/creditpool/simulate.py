@@ -19,18 +19,21 @@ time step is one pass of numpy operations over them.
 ``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
 Normals are drawn half a ``_NORMAL_BLOCK`` of steps at a time by one
 helper thread, into one of two buffers while the stepping reads the
-other, so memory is O(batch cells), not O(N * n_steps).  At each buffer
-boundary the cells of defaulted firms are dropped (compaction); within a
-block a firm that has defaulted is still stepped, but no output reads it.
+other, so memory is O(batch cells), not O(N * n_steps).  A defaulted
+firm's threshold becomes NaN, which no integrated intensity reaches; at
+each buffer boundary the cells with NaN thresholds are dropped
+(compaction).  Within a block a firm that has defaulted is still
+stepped, but no output reads it.
 
-Reproducibility (``RNG_CONTRACT`` 2): replication r of seed s draws its
-firm noise from one counter-based Philox stream keyed by ``(s, r)``: N
+Reproducibility (``RNG_CONTRACT`` 3): replication r of seed s draws its
+firm noise from one SFC64 stream seeded by ``(s, r)``: N
 standard-exponential thresholds first, then N standard normals per step,
-in step order.  The shared factor and the sampled atom assignment have
-streams of their own under the same key.  A replication's output is
-therefore bit-identical however the replications are batched, and
-neither the helper thread nor compaction changes a bit; a firm's noise
-does depend on N.
+in step order.  The step takes the drift as ``(lbar - lam+) * (alpha dt)``
+and the noise as ``sqrt(lam+) * (sigma sqrt(dt)) * Z``.  The shared
+factor and the sampled atom assignment have streams of their own under
+the same key.  A replication's output is therefore bit-identical however
+the replications are batched, and neither the helper thread nor
+compaction changes a bit; a firm's noise does depend on N.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ ASSIGNMENTS = ("proportional", "sampled")
 
 #: Version of the map from ``(seed, replication)`` to random draws, written
 #: into manifests.  It changes whenever simulated output bits change.
-RNG_CONTRACT = 2
+RNG_CONTRACT = 3
 
 # Stream tags under (seed, replication, tag): keep these stable, they
 # are part of the reproducibility contract.
@@ -222,7 +225,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     factor_active = eps != 0.0 and any(a.firm_type.beta_s != 0.0 for a in atoms)
     x = np.full(width, config.factor.x_init)
 
-    firm_rngs = [np.random.Generator(np.random.Philox(
+    firm_rngs = [np.random.Generator(np.random.SFC64(
         _seed_sequence(config.seed, r, _STREAM_FIRM))) for r in replications]
     factor_rngs = [np.random.default_rng(_seed_sequence(config.seed, r, _STREAM_FACTOR))
                    for r in replications] if factor_active else []
@@ -230,16 +233,16 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     # One column per cell of the flattened (replication, firm) grid.  The
     # first `live` columns are the cells still alive at the last buffer
     # boundary, in (replication, firm) order; compaction moves them down in
-    # place.  Rows of `table`: -alpha, lambda_bar, sigma, beta_c, factor
-    # exposure, intensity, integrated intensity, threshold.  Rows of `ids`:
-    # flat cell index, replication in the batch, offset of the cell's first
-    # normal in a buffer.
+    # place.  Rows of `table`: alpha dt, lambda_bar, sigma sqrt(dt), beta_c,
+    # factor exposure, intensity, integrated intensity, threshold (NaN once
+    # the firm has defaulted).  Rows of `ids`: flat cell index, replication
+    # in the batch, offset of the cell's first normal in a buffer.
     block = min(_NORMAL_BLOCK // 2, n_steps)  # steps per normals buffer
     cell = np.arange(width * n)
     table = np.stack([
-        -per_cell([a.firm_type.alpha for a in atoms]),
+        per_cell([a.firm_type.alpha * dt for a in atoms]),
         per_cell([a.firm_type.lambda_bar for a in atoms]),
-        per_cell([a.firm_type.sigma for a in atoms]),
+        per_cell([a.firm_type.sigma * sqdt for a in atoms]),
         per_cell([a.firm_type.beta_c for a in atoms]),
         eps * per_cell([a.firm_type.beta_s for a in atoms]),
         per_cell([a.lambda_init for a in atoms]),
@@ -248,14 +251,12 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     ])
     ids = np.stack([cell, cell // n, cell // n * (block * n) + cell % n])
     live = width * n
-    flags = np.ones((2, live), dtype=bool)  # rows: alive, defaulting this step
-    alive = flags[0]
+    hit = np.empty(live, dtype=bool)
     work = np.empty((4, live))
 
     # Two buffers of `block` steps each: the helper thread draws the next
-    # block into one while this thread steps through the other.  Normals
-    # are stored already scaled by sqrt(dt) (the same product the step
-    # would take), replication-major so each stream fills a contiguous run.
+    # block into one while this thread steps through the other,
+    # replication-major so each stream fills a contiguous run.
     normals = np.empty((2, width, block, n))
     factor_normals = np.empty((2, width, block))
 
@@ -263,12 +264,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
         count = min(block, n_steps - i * block)
         for g, out in zip(firm_rngs, normals[i % 2]):
             g.standard_normal((count, n), out=out[:count])
-            out[:count] *= sqdt
         for g, out in zip(factor_rngs, factor_normals[i % 2]):
             g.standard_normal(count, out=out[:count])
 
-    defaults = np.zeros(width, dtype=np.int64)
-    l_path = np.zeros((width, n_steps + 1))
+    counts = np.zeros((width, n_steps + 1), dtype=np.int64)  # defaults per step
     default_times = np.full(width * n, np.nan)
     if config.record_moments:
         # every firm's latest intensity; a defaulted firm's stays frozen
@@ -284,29 +283,29 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
         record(0)
 
     n_blocks = -(-n_steps // block)
+    compact = False  # a cell defaulted since the last compaction
     with _Prefetch(draw, n_blocks) as prefetch, np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_blocks):
             prefetch.next()
             start, buf = i * block, i % 2
 
-            # Compact: drop the cells that defaulted in the previous block.
-            # Within a block a defaulted cell is still stepped, but nothing
-            # reads it: `alive` masks it out of detection, the finiteness
-            # check and the moments.
-            if not alive.all():
-                keep = np.flatnonzero(alive)
+            # Drop the cells that defaulted in the previous block.  Within a
+            # block a defaulted cell is still stepped, but nothing reads it:
+            # its NaN threshold keeps it out of detection.
+            if compact:
+                keep = np.flatnonzero(table[7, :live] == table[7, :live])
                 live = len(keep)
                 for row in (*table, *ids):
                     row[:live] = row[keep]
-                flags[0, :live] = True
-            neg_alpha, lbar, sigma, beta_c, exposure, lam, integrated, thresholds = table[:, :live]
+                compact = False
+            alpha_dt, lbar, sigma_sqdt, beta_c, exposure, lam, integrated, thresholds = table[:, :live]
             cell, rep, offset = ids[:, :live]
-            alive, hit = flags[:, :live]
+            hit = hit[:live]
             lam_plus, incr, term, scratch = work[:, :live]
             flat_normals = normals[buf].reshape(-1)
 
             # One step, in place:  with lam+ = max(lam, 0),
-            #   lam += -alpha (lam+ - lbar) dt + sigma sqrt(lam+) (sqrt(dt) Z)
+            #   lam += (lbar - lam+) (alpha dt) + sqrt(lam+) (sigma sqrt(dt)) Z
             #          + exposure lam+ dx,
             #   integrated += dt/2 (lam+ + max(lam, 0)),
             # each product taken in the order written, so the bits match
@@ -314,11 +313,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             for k in range(start, min(start + block, n_steps)):
                 j = k - start
                 np.maximum(lam, 0.0, out=lam_plus)
-                np.subtract(lam_plus, lbar, out=incr)
-                incr *= neg_alpha
-                incr *= dt
+                np.subtract(lbar, lam_plus, out=incr)
+                incr *= alpha_dt
                 np.sqrt(lam_plus, out=term)
-                term *= sigma
+                term *= sigma_sqdt
                 term *= np.take(flat_normals[j * n:], offset, out=scratch, mode="clip")
                 incr += term
                 if factor_active:
@@ -329,9 +327,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     term *= np.take(dx, rep, out=scratch, mode="clip")
                     incr += term
                 lam += incr
-                finite = np.isfinite(lam)
-                if not finite.all():
-                    bad = np.flatnonzero(alive & ~finite)
+                # any NaN or inf makes the sum non-finite; an overflowing sum
+                # of finite values only costs a search that finds nothing
+                if not math.isfinite(lam.sum()):
+                    bad = np.flatnonzero((thresholds == thresholds) & ~np.isfinite(lam))
                     if bad.size:
                         r, firm = divmod(int(cell[bad[0]]), n)
                         raise NonFiniteStateError(replications[r], firm, k + 1)
@@ -341,13 +340,13 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 integrated += term
 
                 np.greater_equal(integrated, thresholds, out=hit)
-                hit &= alive
                 if hit.any():
                     newly = np.flatnonzero(hit)
                     d = np.bincount(rep[newly], minlength=width)
-                    alive[newly] = False
+                    thresholds[newly] = np.nan
                     default_times[cell[newly]] = (k + 1) * dt
-                    defaults += d
+                    counts[:, k + 1] = d
+                    compact = True
                     if config.record_moments:
                         frozen[cell[newly]] = lam[newly]
                     # one batched jump: d defaults each contribute beta_c / N
@@ -356,12 +355,13 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     jump *= beta_c
                     jump /= n
                     lam += jump
-                l_path[:, k + 1] = defaults / n
 
                 if config.record_moments:
+                    alive = thresholds == thresholds
                     frozen[cell[alive]] = lam[alive]
                     record(k + 1)
 
+    l_path = np.cumsum(counts, axis=1) / n
     default_times = default_times.reshape(width, n)
     results = []
     for i, r in enumerate(replications):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from creditpool import convergence
-from creditpool.cli import main
+from creditpool import convergence, moment_diagnostic, run_replications
+from creditpool.cli import build_grid, build_sim, load_config, main
 
 SMALL_GRID = ["--set", "grid.n_steps=80"]
 
@@ -153,8 +153,28 @@ class TestSimulateCommand:
     def test_manifest_records_rng_contract(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), *SIM_ARGS]) == 0
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
-        assert manifest["rng_contract"] == 2
+        assert manifest["rng_contract"] == 3
         assert "threads_hint" not in manifest
+
+    def test_moments_written_only_when_recorded(self, tmp_path):
+        off, on = tmp_path / "off", tmp_path / "on"
+        assert main(["simulate", "--out", str(off), *SIM_ARGS]) == 0
+        assert not (off / "moments.csv").exists()
+        assert main(["simulate", "--out", str(on), *SIM_ARGS,
+                     "--set", "sim.record_moments=true"]) == 0
+        assert (on / "paths.csv").read_bytes() == (off / "paths.csv").read_bytes()
+        config = load_config(str(on / "simulate_manifest.json"), [], None)
+        grid = build_grid(config)
+        sim_config, n_reps = build_sim(config, grid)
+        expected = run_replications(sim_config, n_reps).results
+        header, rows = read_csv(on / "moments.csv")
+        assert header == ["t", "rep", "m1", "m2"]
+        assert column(header, rows, "rep", int) == [r for r in range(n_reps)
+                                                    for _ in range(grid.n_points)]
+        for p, name in ((1, "m1"), (2, "m2")):
+            got = np.reshape(column(header, rows, name), (n_reps, grid.n_points))
+            want = np.stack([moment_diagnostic(r, p).values for r in expected])
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("override", [
         'sim.assignment="x"',
@@ -220,7 +240,7 @@ class TestConvergeCommand:
         manifest = json.loads((tmp_path / "converge_manifest.json").read_text())
         assert manifest["solver_residual"] <= 1e-10
         assert "median_violations" in manifest
-        assert manifest["rng_contract"] == 2
+        assert manifest["rng_contract"] == 3
 
     @pytest.mark.parametrize("override", [
         "converge.n_reps=1",
@@ -323,3 +343,29 @@ class TestConfigPlumbing:
 
     def test_bad_seed_rejected(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--seed", "-3"]) == 2
+
+    @pytest.mark.parametrize("overrides, loaded, where", [
+        pytest.param(["grid=3"], None, "grid", id="set-grid"),
+        pytest.param(["factor.eps=0.5"], None, "factor.eps", id="set-eps"),
+        pytest.param(["measure.atoms=5"], None, "measure.atoms", id="set-atoms"),
+        pytest.param([], {"measure": 3}, "measure", id="file-measure"),
+        pytest.param([], {"factor": {"eps": "fixed"}}, "factor.eps", id="file-eps"),
+    ])
+    def test_malformed_section_exit_code(self, tmp_path, capsys, overrides, loaded, where):
+        # a scalar in place of an object section escaped as a TypeError, exit 1
+        args = ["limit", "--out", str(tmp_path), *SMALL_GRID]
+        for expr in overrides:
+            args += ["--set", expr]
+        if loaded is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(loaded))
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        assert where in capsys.readouterr().err
+
+    def test_set_merges_an_object_into_its_section(self, tmp_path):
+        # like a config file: the keys not given keep their values
+        assert main(["limit", "--out", str(tmp_path), "--set", 'grid={"n_steps": 40}']) == 0
+        _, rows = read_csv(tmp_path / "limit.csv")
+        assert len(rows) == 41
+        assert float(rows[-1][0]) == 1.0

@@ -80,7 +80,7 @@ class TestDeterminism:
             )
         )
         for n_firms in (7, 100):
-            config = make_config(n_firms=n_firms, measure=m, grid=TimeGrid(1.0, 150))
+            config = make_config(n_firms=n_firms, measure=m, grid=TimeGrid(1.0, 150), seed=124)
             alone = [simulate(config, r) for r in range(6)]
             assert alone[0].l_path.values[-1] > 0.0
             for width in (1, 2, 6):
@@ -163,6 +163,14 @@ class TestPathStructure:
         assert 0 <= err.value.firm < 3
         assert err.value.replication == 2
         assert "replication 2" in str(err.value)
+
+    def test_finite_state_whose_sum_overflows(self):
+        # each intensity is finite, their sum is not: no error, and every
+        # firm defaults on the first step
+        m = homogeneous_measure(FirmType(0.0, 0.0, 0.0, 0.0), 6e307)
+        result = simulate(make_config(measure=m, n_firms=4, grid=TimeGrid(1.0, 20),
+                                      record_moments=False))
+        assert np.all(result.l_path.values[1:] == 1.0)
 
     def test_peak_memory_bounded_at_large_pool(self):
         # the normals of 1000 steps alone would take 160 MB at once
@@ -282,7 +290,11 @@ def reference_batch(config, replications):
     defaulted firms masked out, and one normal draw per step.
 
     Returns ``(l_path, default_times, m1, m2)`` as ``(replications, ...)``
-    arrays.  The oracle for the compacted, prefetching kernel.
+    arrays.  The oracle for the compacted, prefetching kernel, and the
+    written form of RNG contract 3: one SFC64 stream per replication for
+    the firms (N thresholds, then N normals per step), the drift
+    ``(lbar - lam+) * (alpha dt)`` and the noise
+    ``sqrt(lam+) * (sigma sqrt(dt)) * Z``.
     """
     n, grid = config.n_firms, config.grid
     dt, sqdt = grid.dt, math.sqrt(grid.dt)
@@ -295,12 +307,12 @@ def reference_batch(config, replications):
     def stream(r, tag):
         return simulate_module._seed_sequence(config.seed, r, tag)
 
-    neg_alpha = -per_firm([a.firm_type.alpha for a in atoms])
+    alpha_dt = per_firm([a.firm_type.alpha * dt for a in atoms])
     lbar = per_firm([a.firm_type.lambda_bar for a in atoms])
-    sigma = per_firm([a.firm_type.sigma for a in atoms])
+    sigma_sqdt = per_firm([a.firm_type.sigma * sqdt for a in atoms])
     beta_c = per_firm([a.firm_type.beta_c for a in atoms])
     lam = per_firm([a.lambda_init for a in atoms])
-    firm_rngs = [np.random.Generator(np.random.Philox(stream(r, simulate_module._STREAM_FIRM)))
+    firm_rngs = [np.random.Generator(np.random.SFC64(stream(r, simulate_module._STREAM_FIRM)))
                  for r in replications]
     thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
 
@@ -333,7 +345,7 @@ def reference_batch(config, replications):
                 dx = (x_new - x)[:, None]
                 x = x_new
             lam_plus = np.maximum(lam, 0.0)
-            incr = neg_alpha * (lam_plus - lbar) * dt + sigma * np.sqrt(lam_plus) * (sqdt * z)
+            incr = (lbar - lam_plus) * alpha_dt + np.sqrt(lam_plus) * sigma_sqdt * z
             if factor_active:
                 incr += exposure * lam_plus * dx
             lam_new = np.where(alive, lam + incr, lam)
@@ -405,7 +417,7 @@ class TestReferenceKernel:
 
     def test_nonfinite_after_compaction_names_the_cell(self):
         config = make_config(n_firms=N_NONFINITE, measure=NONFINITE_MEASURE,
-                             grid=TimeGrid(10.0, 40), seed=58)
+                             grid=TimeGrid(10.0, 40), seed=18)
         # replication 0 loses firms before the first buffer boundary, so
         # replication 1's cells sit at shifted places in the live arrays
         _, default_times, _, _ = reference_batch(config, range(1))
@@ -416,7 +428,7 @@ class TestReferenceKernel:
             run_replications(config, 3)
         got = (err.value.replication, err.value.firm, err.value.step)
         assert got == (expected.value.replication, expected.value.firm, expected.value.step)
-        assert got == (1, 7, 25)
+        assert got == (1, 11, 26)
 
 
 class TestHelperThread:
@@ -425,7 +437,7 @@ class TestHelperThread:
         run_replications(make_config(n_firms=50, measure=TWO_ATOMS), 3)
         assert threading.active_count() == before
         config = make_config(n_firms=N_NONFINITE, measure=NONFINITE_MEASURE,
-                             grid=TimeGrid(10.0, 40), seed=58)
+                             grid=TimeGrid(10.0, 40), seed=18)
         with pytest.raises(NonFiniteStateError):
             run_replications(config, 3)
         assert threading.active_count() == before
@@ -477,17 +489,17 @@ class TestHelperThread:
 
 
 # sha256 of the L paths and default times, replication by replication, of
-# GOLDEN_CONFIG's three replications under RNG_CONTRACT 2.  If a change
+# GOLDEN_CONFIG's three replications under RNG_CONTRACT 3.  If a change
 # moves a simulated bit on purpose, bump RNG_CONTRACT and this digest.
-GOLDEN_SHA256 = "f70c7b6c310a838553c801e0ee44a41a175769012a0858a6e0bf133136df888a"
+GOLDEN_SHA256 = "1c8727cd25f2fb342002eb2391df2733ab6711f379434477ba9f624dea061e33"
 
 
-def test_rng_contract_2_bits_pinned():
+def test_rng_contract_3_bits_pinned():
     config = make_config(n_firms=50, measure=TWO_ATOMS, grid=TimeGrid(1.0, 100), seed=2024)
     assert config.factor.eps(50) != 0.0  # the factor term runs
     digest = hashlib.sha256()
     for result in run_replications(config, 3).results:
         digest.update(result.l_path.values.tobytes())
         digest.update(result.default_times.tobytes())
-    assert simulate_module.RNG_CONTRACT == 2
+    assert simulate_module.RNG_CONTRACT == 3
     assert digest.hexdigest() == GOLDEN_SHA256
