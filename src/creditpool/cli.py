@@ -12,6 +12,10 @@ Configuration is one JSON object with sections ``measure``, ``factor``,
 ``grid``, ``solver``, ``sim``, ``converge``; every field is optional and
 defaults are materialized into the manifest written next to each output.
 A manifest can itself be passed back as ``--config`` to reproduce a run.
+
+A run is one pipeline: :func:`resolve_config` checks every section,
+whichever command runs; the command only computes its tables; and
+:func:`_run` writes them and the manifest.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .convergence import (
@@ -40,6 +46,7 @@ from .errors import (
     NonFiniteResultError,
     NonFiniteStateError,
     ValidationError,
+    Violation,
 )
 from .limit import solve_limit
 from .model import (
@@ -51,7 +58,6 @@ from .model import (
     TypeAtom,
     validate_measure,
 )
-from .riccati import METHODS
 from .simulate import RNG_CONTRACT, SimConfig, moment_diagnostic, run_replications
 
 EXIT_OK = 0
@@ -77,7 +83,7 @@ DEFAULT_CONFIG = {
     },
     "factor": {"gamma": 1.0, "x_init": 0.0, "eps": {"kind": "inverse_sqrt", "value": 1.0}},
     "grid": {"t_end": 1.0, "n_steps": 1000},
-    "solver": {"tol": 1e-10, "max_iter": 200, "method": "closed_form", "relaxation": 1.0},
+    "solver": {"tol": 1e-10, "max_iter": 200},
     "sim": {
         "n_firms": 10000,
         "n_reps": 20,
@@ -177,13 +183,13 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
 
 
 def _number(value, where: str) -> float:
-    """A JSON number as a float; never a boolean, which float() reads as 0 or 1."""
-    if isinstance(value, bool):
+    """A JSON number as a float; never a boolean (float() reads it as 0 or 1) or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    except OverflowError:  # an integer literal beyond the double range
+        raise ConfigError(f"{where} is out of range, got {value!r}") from None
 
 
 def _integer(value, where: str) -> int:
@@ -195,9 +201,15 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def build_measure(config: dict) -> tuple[DiscreteTypeMeasure, float]:
-    section = config["measure"]
+# One builder per section.  Each raises ConfigError for a field it checks
+# itself; the domain constructors raise ValueError or ValidationError for
+# the rules they own.
+
+
+def _measure(section: dict) -> DiscreteTypeMeasure:
     cap = _number(section["cap"], "measure.cap")
+    if not (cap > 0.0 and math.isfinite(cap)):
+        raise ConfigError(f"measure.cap must be finite and > 0, got {cap!r}")
     if not isinstance(section["atoms"], list):
         raise ConfigError(f"measure.atoms must be a list of objects, got {section['atoms']!r}")
     atoms = []
@@ -209,243 +221,170 @@ def build_measure(config: dict) -> tuple[DiscreteTypeMeasure, float]:
             raise ConfigError(f"measure.atoms[{i}] has unknown keys: {sorted(unknown)}")
         fields = {key: _number(value, f"measure.atoms[{i}].{key}")
                   for key, value in entry.items()}
-        try:
-            atoms.append(
-                TypeAtom(
-                    firm_type=FirmType(
-                        alpha=fields.get("alpha", 0.0),
-                        lambda_bar=fields.get("lambda_bar", 0.0),
-                        sigma=fields.get("sigma", 0.0),
-                        beta_c=fields.get("beta_c", 0.0),
-                        beta_s=fields.get("beta_s", 0.0),
-                    ),
-                    lambda_init=fields.get("lambda_init", 0.0),
-                    weight=fields.get("weight", 1.0),
-                )
+        atoms.append(
+            TypeAtom(
+                firm_type=FirmType(
+                    alpha=fields.get("alpha", 0.0),
+                    lambda_bar=fields.get("lambda_bar", 0.0),
+                    sigma=fields.get("sigma", 0.0),
+                    beta_c=fields.get("beta_c", 0.0),
+                    beta_s=fields.get("beta_s", 0.0),
+                ),
+                lambda_init=fields.get("lambda_init", 0.0),
+                weight=fields.get("weight", 1.0),
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"measure.atoms[{i}]: {exc}") from exc
-    try:
-        measure = DiscreteTypeMeasure(atoms=tuple(atoms))
-    except ValueError as exc:
-        raise ConfigError(f"measure: {exc}") from exc
-    return validate_measure(measure, cap=cap), cap
-
-
-def build_factor(config: dict) -> SystematicFactorConfig:
-    section = config["factor"]
-    eps = section["eps"]
-    if not isinstance(eps, dict) or set(eps) - {"kind", "value"}:
-        raise ConfigError("factor.eps must be {kind, value}")
-    try:
-        return SystematicFactorConfig(
-            gamma=_number(section["gamma"], "factor.gamma"),
-            x_init=_number(section["x_init"], "factor.x_init"),
-            eps=EpsSchedule(kind=eps.get("kind", "inverse_sqrt"),
-                            value=_number(eps.get("value", 1.0), "factor.eps.value")),
         )
-    except ValueError as exc:
-        raise ConfigError(f"factor: {exc}") from exc
+    return validate_measure(DiscreteTypeMeasure(atoms=tuple(atoms)), cap=cap)
 
 
-def build_grid(config: dict) -> TimeGrid:
-    section = config["grid"]
-    n_steps = _integer(section["n_steps"], "grid.n_steps")
-    try:
-        return TimeGrid(t_end=_number(section["t_end"], "grid.t_end"), n_steps=n_steps)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    tol: float
-    max_iter: int
-    method: str
-    relaxation: float
-
-
-def build_solver(config: dict) -> SolverSettings:
-    section = config["solver"]
-    settings = SolverSettings(
-        tol=_number(section["tol"], "solver.tol"),
-        max_iter=_integer(section["max_iter"], "solver.max_iter"),
-        method=section["method"],
-        relaxation=_number(section["relaxation"], "solver.relaxation"),
+def _factor(section: dict) -> SystematicFactorConfig:
+    eps = section["eps"]
+    return SystematicFactorConfig(
+        gamma=_number(section["gamma"], "factor.gamma"),
+        x_init=_number(section["x_init"], "factor.x_init"),
+        eps=EpsSchedule(kind=eps["kind"], value=_number(eps["value"], "factor.eps.value")),
     )
-    if not (settings.tol > 0.0 and math.isfinite(settings.tol)):
-        raise ConfigError(f"solver.tol must be finite and > 0, got {settings.tol!r}")
-    if settings.max_iter < 1:
+
+
+def _grid(section: dict) -> TimeGrid:
+    return TimeGrid(t_end=_number(section["t_end"], "grid.t_end"),
+                    n_steps=_integer(section["n_steps"], "grid.n_steps"))
+
+
+def _solver(section: dict) -> tuple[float, int]:
+    tol = _number(section["tol"], "solver.tol")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"solver.tol must be finite and > 0, got {tol!r}")
+    max_iter = _integer(section["max_iter"], "solver.max_iter")
+    if max_iter < 1:
         raise ConfigError("solver.max_iter must be >= 1")
-    if settings.method not in METHODS:
-        raise ConfigError(f"solver.method must be one of {METHODS}, got {settings.method!r}")
-    if not 0.0 < settings.relaxation <= 1.0:
-        raise ConfigError(f"solver.relaxation must be in (0, 1], got {settings.relaxation!r}")
-    return settings
+    return tol, max_iter
 
 
-def build_sim(config: dict, grid: TimeGrid) -> tuple[SimConfig, int]:
-    """The ``sim`` section as a simulation config plus its replication count."""
-    measure, _ = build_measure(config)
-    factor = build_factor(config)
-    sim = config["sim"]
-    if not isinstance(sim["record_moments"], bool):
+def _sim(section: dict, measure, factor, grid) -> tuple[SimConfig, int]:
+    if not isinstance(section["record_moments"], bool):
         raise ConfigError("sim.record_moments must be true or false")
-    n_reps = _integer(sim["n_reps"], "sim.n_reps")
+    n_reps = _integer(section["n_reps"], "sim.n_reps")
     if n_reps < 1:
         raise ConfigError("sim.n_reps must be >= 1")
-    try:
-        sim_config = SimConfig(
-            n_firms=_integer(sim["n_firms"], "sim.n_firms"),
-            measure=measure,
-            factor=factor,
-            grid=grid,
-            seed=_integer(sim["seed"], "sim.seed"),
-            assignment=sim["assignment"],
-            record_moments=sim["record_moments"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
-    return sim_config, n_reps
-
-
-# ---------------------------------------------------------------------------
-# output helpers
-
-
-def _fmt(x) -> str:
-    """Shortest decimal that round-trips to the same double."""
-    return repr(float(x))
-
-
-def _fmt_column(values) -> list[str]:
-    """:func:`_fmt` of every entry of a float array."""
-    return [repr(x) for x in values.tolist()]
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _write_manifest(path: Path, command: str, config: dict, grid: TimeGrid,
-                    timing: dict, extra: dict | None = None) -> None:
-    """``timing["seconds"]`` is the command's computation; other keys are phases."""
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "seed": config["sim"]["seed"],
-        "config": config,
-        "grid": {"t_end": grid.t_end, "n_steps": grid.n_steps, "dt": grid.dt},
-        "timing": timing,
-    }
-    if extra:
-        manifest.update(extra)
-    with open(path, "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _cmd_limit(config: dict, out: Path) -> None:
-    measure, _ = build_measure(config)
-    grid = build_grid(config)
-    solver = build_solver(config)
-    started = time.perf_counter()
-    sol = solve_limit(measure, grid, tol=solver.tol, max_iter=solver.max_iter,
-                      method=solver.method, relaxation=solver.relaxation)
-    seconds = time.perf_counter() - started
-    header = ["t", "F", "Q"] + [f"b_{i}" for i in range(len(measure))]
-    columns = [_fmt_column(grid.points()), _fmt_column(sol.f.values),
-               _fmt_column(sol.q.values)]
-    b_columns = {}  # atoms of one firm type share their Riccati solution
-    for r in sol.riccati:
-        if id(r) not in b_columns:
-            b_columns[id(r)] = _fmt_column(r.b.values)
-        columns.append(b_columns[id(r)])
-    _write_csv(out / "limit.csv", header, zip(*columns))
-    write_seconds = time.perf_counter() - started - seconds
-    _write_manifest(out / "limit_manifest.json", "limit", config, grid,
-                    {"seconds": seconds, "write_seconds": write_seconds},
-                    {"solver_iterations": sol.iterations,
-                     "solver_residual": sol.residual,
-                     "residual_history": list(sol.residual_history)})
-
-
-def _cmd_simulate(config: dict, out: Path) -> None:
-    grid = build_grid(config)
-    sim_config, n_reps = build_sim(config, grid)
-    started = time.perf_counter()
-    reps = run_replications(sim_config, n_reps)
-    seconds = time.perf_counter() - started
-    t = grid.points()
-    rows = (
-        [_fmt(t[k]), str(r.replication), _fmt(r.l_path.values[k])]
-        for r in reps.results
-        for k in range(grid.n_points)
+    # SimConfig checks n_firms, seed and assignment; it does not look at
+    # the measure, factor or grid, so a broken one (None) still lets it run
+    sim = SimConfig(
+        n_firms=_integer(section["n_firms"], "sim.n_firms"),
+        measure=measure,
+        factor=factor,
+        grid=grid,
+        seed=_integer(section["seed"], "sim.seed"),
+        assignment=section["assignment"],
+        record_moments=section["record_moments"],
     )
-    _write_csv(out / "paths.csv", ["t", "rep", "L"], rows)
-    agg = (
-        [_fmt(t[k]), _fmt(reps.mean.values[k]), _fmt(reps.q10.values[k]),
-         _fmt(reps.q90.values[k])]
-        for k in range(grid.n_points)
-    )
-    _write_csv(out / "aggregate.csv", ["t", "mean", "q10", "q90"], agg)
-    if sim_config.record_moments:
-        t_column = _fmt_column(t)
-        moments = (
-            row
-            for r in reps.results
-            for row in zip(t_column, [str(r.replication)] * grid.n_points,
-                           _fmt_column(moment_diagnostic(r, 1).values),
-                           _fmt_column(moment_diagnostic(r, 2).values))
-        )
-        _write_csv(out / "moments.csv", ["t", "rep", "m1", "m2"], moments)
-    write_seconds = time.perf_counter() - started - seconds
-    _write_manifest(out / "simulate_manifest.json", "simulate", config, grid,
-                    {"seconds": seconds, "write_seconds": write_seconds},
-                    {"rng_contract": RNG_CONTRACT})
+    return sim, n_reps
 
 
-def _cmd_converge(config: dict, out: Path) -> None:
-    measure, _ = build_measure(config)
-    grid = build_grid(config)
-    factor = build_factor(config)
-    solver = build_solver(config)
-    section = config["converge"]
+def _converge(section: dict) -> tuple[tuple[int, ...], int]:
     if not isinstance(section["n_values"], list) or not section["n_values"]:
         raise ConfigError("converge.n_values must be a non-empty list of pool sizes")
-    n_values = [_integer(n, "converge.n_values[]") for n in section["n_values"]]
+    n_values = tuple(_integer(n, "converge.n_values[]") for n in section["n_values"])
     if min(n_values) < 1:
         raise ConfigError("converge.n_values must all be >= 1")
     n_reps = _integer(section["n_reps"], "converge.n_reps")
     if n_reps < 2:
         raise ConfigError("converge.n_reps must be >= 2")
-    started = time.perf_counter()
-    report = lln_experiment(
-        measure, factor, grid, n_values, n_reps, seed=config["sim"]["seed"],
-        tol=solver.tol, max_iter=solver.max_iter, method=solver.method,
-        relaxation=solver.relaxation,
-    )
-    seconds = time.perf_counter() - started
-    rows = (
-        [str(c.n_firms), str(c.n_reps), _fmt(c.mean), _fmt(c.median),
-         _fmt(c.q10), _fmt(c.q90), _fmt(c.seconds)]
-        for c in report.cells
-    )
-    _write_csv(out / "convergence.csv",
-               ["N", "reps", "mean", "median", "q10", "q90", "seconds"], rows)
-    _write_manifest(out / "converge_manifest.json", "converge", config, grid,
-                    {"seconds": seconds},
-                    {"rng_contract": RNG_CONTRACT,
-                     "solver_iterations": report.solver_iterations,
-                     "solver_residual": report.solver_residual,
-                     "median_violations": list(report.median_violations)})
+    return n_values, n_reps
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A whole config, checked: what any command reads."""
+
+    sim: SimConfig  # also the measure, factor, grid and seed of every command
+    sim_reps: int
+    tol: float
+    max_iter: int
+    n_values: tuple[int, ...]
+    converge_reps: int
+
+
+def resolve_config(config: dict) -> RunConfig:
+    """Check every section of a loaded config, whichever command will run.
+
+    A broken section is recorded and the rest are still checked, so the one
+    :class:`ValidationError` raised names every broken section.
+    """
+    violations: list[Violation] = []
+
+    def checked(name: str, build, *args):
+        try:
+            return build(config[name], *args)
+        except ValidationError as exc:
+            violations.extend(Violation(v.code, f"{name}.{v.where}", v.message)
+                              for v in exc.violations)
+        except (ConfigError, ValueError) as exc:
+            violations.append(Violation("INVALID_VALUE", name, str(exc)))
+        return None
+
+    measure = checked("measure", _measure)
+    factor = checked("factor", _factor)
+    grid = checked("grid", _grid)
+    solver = checked("solver", _solver)
+    sim = checked("sim", _sim, measure, factor, grid)
+    converge = checked("converge", _converge)
+    if violations:
+        raise ValidationError(violations)
+    return RunConfig(sim=sim[0], sim_reps=sim[1], tol=solver[0], max_iter=solver[1],
+                     n_values=converge[0], converge_reps=converge[1])
+
+
+# ---------------------------------------------------------------------------
+# commands: each computes ([(file name, header, columns)], manifest extras);
+# a column is a numpy array, written as one CSV field per entry
+
+
+def _cmd_limit(run: RunConfig):
+    measure, grid = run.sim.measure, run.sim.grid
+    sol = solve_limit(measure, grid, tol=run.tol, max_iter=run.max_iter)
+    # atoms of one firm type share their Riccati solution, so one b array
+    header = ["t", "F", "Q"] + [f"b_{i}" for i in range(len(measure))]
+    columns = [grid.points(), sol.f.values, sol.q.values] + [r.b.values for r in sol.riccati]
+    return [("limit.csv", header, columns)], {
+        "solver_iterations": sol.iterations,
+        "solver_residual": sol.residual,
+        "residual_history": list(sol.residual_history),
+    }
+
+
+def _cmd_simulate(run: RunConfig):
+    grid = run.sim.grid
+    reps = run_replications(run.sim, run.sim_reps)
+    results = reps.results
+    t = np.tile(grid.points(), len(results))
+    rep = np.repeat([r.replication for r in results], grid.n_points)
+    tables = [
+        ("paths.csv", ["t", "rep", "L"],
+         [t, rep, np.concatenate([r.l_path.values for r in results])]),
+        ("aggregate.csv", ["t", "mean", "q10", "q90"],
+         [grid.points(), reps.mean.values, reps.q10.values, reps.q90.values]),
+    ]
+    if run.sim.record_moments:
+        moments = [np.concatenate([moment_diagnostic(r, p).values for r in results])
+                   for p in (1, 2)]
+        tables.append(("moments.csv", ["t", "rep", "m1", "m2"], [t, rep, *moments]))
+    return tables, {"rng_contract": RNG_CONTRACT}
+
+
+def _cmd_converge(run: RunConfig):
+    sim = run.sim
+    report = lln_experiment(sim.measure, sim.factor, sim.grid, run.n_values, run.converge_reps,
+                            seed=sim.seed, tol=run.tol, max_iter=run.max_iter)
+    columns = [np.array([getattr(c, name) for c in report.cells])
+               for name in ("n_firms", "n_reps", "mean", "median", "q10", "q90", "seconds")]
+    header = ["N", "reps", "mean", "median", "q10", "q90", "seconds"]
+    return [("convergence.csv", header, columns)], {
+        "rng_contract": RNG_CONTRACT,
+        "solver_iterations": report.solver_iterations,
+        "solver_residual": report.solver_residual,
+        "median_violations": list(report.median_violations),
+    }
 
 
 _FIGURE_FILES = (
@@ -455,24 +394,17 @@ _FIGURE_FILES = (
 )
 
 
-def _cmd_figures(config: dict, out: Path) -> None:
-    grid = build_grid(config)
-    solver = build_solver(config)
-    t = grid.points()
-    started = time.perf_counter()
+def _cmd_figures(run: RunConfig):
+    grid = run.sim.grid
+    tables = []
     for filename, sweep_builder in _FIGURE_FILES:
-        rows = []
-        for value, f in figure_sweep(sweep_builder(grid), tol=solver.tol,
-                                     max_iter=solver.max_iter, method=solver.method,
-                                     relaxation=solver.relaxation):
-            rows.extend(
-                [_fmt(t[k]), _fmt(value), _fmt(f.values[k])]
-                for k in range(grid.n_points)
-            )
-        _write_csv(out / filename, ["t", "param_value", "F"], rows)
-    seconds = time.perf_counter() - started
-    _write_manifest(out / "figures_manifest.json", "figures", config, grid,
-                    {"seconds": seconds})
+        curves = figure_sweep(sweep_builder(grid), tol=run.tol, max_iter=run.max_iter)
+        tables.append((filename, ["t", "param_value", "F"], [
+            np.tile(grid.points(), len(curves)),
+            np.repeat([value for value, _ in curves], grid.n_points),
+            np.concatenate([f.values for _, f in curves]),
+        ]))
+    return tables, {}
 
 
 _COMMANDS = {
@@ -481,6 +413,51 @@ _COMMANDS = {
     "converge": _cmd_converge,
     "figures": _cmd_figures,
 }
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """Every entry of an array: a float as the shortest decimal that
+    round-trips to the same double, an integer as itself."""
+    return [repr(x) for x in values.tolist()]
+
+
+def _run(command: str, config: dict, run: RunConfig, out: Path) -> None:
+    """Compute, then write the command's CSV files and its manifest.
+
+    ``timing.seconds`` is the computation and ``timing.write_seconds`` the
+    CSV writing.  A column object shared by several columns or files is
+    formatted once.
+    """
+    started = time.perf_counter()
+    tables, extra = _COMMANDS[command](run)
+    seconds = time.perf_counter() - started
+    formatted: dict[int, list[str]] = {}  # by id: every column stays alive in `tables`
+    for filename, header, columns in tables:
+        for column in columns:
+            if id(column) not in formatted:
+                formatted[id(column)] = _fmt_column(column)
+        with open(out / filename, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in zip(*(formatted[id(column)] for column in columns)):
+                fh.write(",".join(row) + "\n")
+    write_seconds = time.perf_counter() - started - seconds
+    grid = run.sim.grid
+    manifest = {
+        "command": command,
+        "tool_version": __version__,
+        "seed": run.sim.seed,
+        "config": config,
+        "grid": {"t_end": grid.t_end, "n_steps": grid.n_steps, "dt": grid.dt},
+        "timing": {"seconds": seconds, "write_seconds": write_seconds},
+        **extra,
+    }
+    with open(out / f"{command}_manifest.json", "w", newline="") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -509,9 +486,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.set, args.seed)
+        run = resolve_config(config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](config, out)
+        _run(args.command, config, run, out)
         return EXIT_OK
     except (ConfigError, ValidationError) as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)

@@ -84,9 +84,7 @@ def lln_experiment(
     seed: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "closed_form",
     limit: LimitSolution | None = None,
-    relaxation: float = 1.0,
 ) -> ConvergenceReport:
     """Simulate across pool sizes and compare against the limit curve.
 
@@ -100,16 +98,12 @@ def lln_experiment(
     if any(n < 1 for n in n_values):
         raise ValueError("pool sizes must be >= 1")
     if limit is None:
-        limit = solve_limit(measure, grid, tol=tol, max_iter=max_iter, method=method,
-                            relaxation=relaxation)
+        limit = solve_limit(measure, grid, tol=tol, max_iter=max_iter)
     f = limit.f
 
     cells = []
     for n_firms in n_values:
-        config = SimConfig(
-            n_firms=n_firms, measure=measure, factor=factor, grid=grid, seed=seed,
-            record_moments=False,
-        )
+        config = SimConfig(n_firms=n_firms, measure=measure, factor=factor, grid=grid, seed=seed)
         started = time.perf_counter()
         reps = run_replications(config, n_reps)
         seconds = time.perf_counter() - started
@@ -171,14 +165,11 @@ def figure_sweep(
     spec: SweepSpec,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "closed_form",
-    relaxation: float = 1.0,
 ) -> tuple[tuple[float, Trajectory], ...]:
     """One limit solve per swept value, all on the shared grid."""
     rows = []
     for value in spec.values:
-        sol = solve_limit(spec.measure_for(value), spec.grid, tol=tol,
-                          max_iter=max_iter, method=method, relaxation=relaxation)
+        sol = solve_limit(spec.measure_for(value), spec.grid, tol=tol, max_iter=max_iter)
         rows.append((value, sol.f))
     return tuple(rows)
 

@@ -19,8 +19,8 @@ class CreditPoolError(Exception):
 class Violation:
     """One validation failure: which field of which atom, and why."""
 
-    code: str          # NEGATIVE_PARAMETER | WEIGHT_SUM_MISMATCH | CAP_EXCEEDED
-    where: str         # e.g. "atoms[2].firm_type.sigma"
+    code: str          # NEGATIVE_PARAMETER | WEIGHT_SUM_MISMATCH | CAP_EXCEEDED | INVALID_VALUE
+    where: str         # e.g. "atoms[2].firm_type.sigma" or a config section
     message: str
 
     def __str__(self) -> str:
@@ -72,16 +72,18 @@ class NonFiniteResultError(CreditPoolError):
 
 
 class NonFiniteStateError(CreditPoolError):
-    """A simulated intensity became non-finite."""
+    """A simulated intensity, or a recorded moment of the pool (firm None),
+    became non-finite."""
 
     code = "NONFINITE_STATE"
 
-    def __init__(self, replication: int, firm: int, step: int):
+    def __init__(self, replication: int, firm: int | None, step: int):
         self.replication = replication
         self.firm = firm
         self.step = step
+        where = "the pool's intensity moments" if firm is None else f"firm {firm}"
         super().__init__(
-            f"non-finite intensity in replication {replication} at firm {firm}, step {step}"
+            f"non-finite intensity in replication {replication} at {where}, step {step}"
         )
 
 

@@ -11,7 +11,7 @@ closed form
 
 with b_a the Riccati trajectory of the atom's firm class, and the limit
 default rate is F(t) = 1 - sum_a w_a S_a(t).  The fixed point is computed
-by damped Picard iteration with trapezoid quadrature for all
+by Picard iteration with trapezoid quadrature for all
 time-convolutions on a shared uniform grid.  Atoms of one firm type share
 one Riccati solve, and a sweep convolves q with each distinct kernel once,
 through FFT spectra cached for the whole solve.
@@ -47,16 +47,16 @@ EXTINCTION_FLOOR = 1e-14
 
 
 def riccati_for_measure(
-    measure: DiscreteTypeMeasure, grid: TimeGrid, method: str = "closed_form"
+    measure: DiscreteTypeMeasure, grid: TimeGrid
 ) -> tuple[RiccatiSolution, ...]:
-    """One Riccati solution per atom, on the shared grid.
+    """One closed-form Riccati solution per atom, on the shared grid.
 
     Each distinct firm type is solved once; its atoms share that solution.
     """
     solved: dict[FirmType, RiccatiSolution] = {}
     for atom in measure.atoms:
         if atom.firm_type not in solved:
-            solved[atom.firm_type] = solve_riccati(atom.firm_type, grid, method)
+            solved[atom.firm_type] = solve_riccati(atom.firm_type, grid)
     return tuple(solved[a.firm_type] for a in measure.atoms)
 
 
@@ -151,13 +151,10 @@ def solve_q(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    relaxation: float = 1.0,
 ) -> PicardResult:
     """Picard iteration for the contagion forcing, started from q = 0.
 
-    Stops when the sup-norm change of one sweep is <= tol.  ``relaxation``
-    in (0, 1] under-relaxes the update for pathological parameter sets;
-    the default applies the map directly.
+    Stops when the sup-norm change of one sweep is <= tol.
 
     Raises :class:`NoConvergenceError` after ``max_iter`` sweeps, and
     :class:`NonFiniteResultError` if a sweep produces non-finite values or
@@ -165,8 +162,6 @@ def solve_q(
     anything materially negative is a bug, not round-off).
     """
     _check_iteration(tol, max_iter)
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError("relaxation must be in (0, 1]")
     kern = _AtomKernels(measure, riccati, grid)
     contagion = kern.weight * kern.beta_c
     q = np.zeros(grid.n_points)
@@ -178,8 +173,6 @@ def solve_q(
             raise NonFiniteResultError(
                 f"fixed-point sweep {iteration} produced non-finite forcing"
             )
-        if relaxation != 1.0:
-            q_new = q + relaxation * (q_new - q)
         residual = float(np.max(np.abs(q_new - q)))
         history.append(residual)
         q = q_new
@@ -282,7 +275,6 @@ def solve_homogeneous_f(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "closed_form",
 ) -> Trajectory:
     """Single-class limit default rate via direct iteration on F.
 
@@ -293,7 +285,7 @@ def solve_homogeneous_f(
     contagion-free formula.
     """
     _check_iteration(tol, max_iter)
-    ric = solve_riccati(firm_type, grid, method)
+    ric = solve_riccati(firm_type, grid)
     b = ric.b.values
     b_dot = ric.b_dot.values
     dt = grid.dt
@@ -340,13 +332,10 @@ def solve_limit(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "closed_form",
-    relaxation: float = 1.0,
 ) -> LimitSolution:
     """Full limit pipeline: Riccati per firm type, contagion fixed point, F."""
-    riccati = riccati_for_measure(measure, grid, method)
-    picard = solve_q(measure, riccati, grid, tol=tol, max_iter=max_iter,
-                     relaxation=relaxation)
+    riccati = riccati_for_measure(measure, grid)
+    picard = solve_q(measure, riccati, grid, tol=tol, max_iter=max_iter)
     f = compute_f(measure, riccati, picard.q, exponents=picard.exponents)
     return LimitSolution(
         measure=measure,

@@ -88,7 +88,7 @@ class SimConfig:
     grid: TimeGrid
     seed: int
     assignment: str = "proportional"
-    record_moments: bool = True
+    record_moments: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "n_firms", int(self.n_firms))
@@ -198,7 +198,9 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     """Step the given replications together; one result per replication.
 
     Raises :class:`NonFiniteStateError` (reporting replication, firm and
-    step) if any intensity becomes NaN or infinite.
+    step) if any intensity becomes NaN or infinite, and (reporting
+    replication and step) if a recorded moment does, such as the pool mean
+    of finite intensities that overflows.
     """
     n = config.n_firms
     grid = config.grid
@@ -280,11 +282,11 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             m1[:, k] = pos.mean(axis=1)
             m2[:, k] = np.mean(pos * pos, axis=1)
 
-        record(0)
-
     n_blocks = -(-n_steps // block)
     compact = False  # a cell defaulted since the last compaction
     with _Prefetch(draw, n_blocks) as prefetch, np.errstate(over="ignore", invalid="ignore"):
+        if config.record_moments:
+            record(0)
         for i in range(n_blocks):
             prefetch.next()
             start, buf = i * block, i % 2
@@ -360,6 +362,12 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     alive = thresholds == thresholds
                     frozen[cell[alive]] = lam[alive]
                     record(k + 1)
+
+    if config.record_moments:
+        bad = ~(np.isfinite(m1) & np.isfinite(m2)).T  # (step, replication)
+        if bad.any():
+            step, i = divmod(int(np.argmax(bad)), width)
+            raise NonFiniteStateError(replications[i], None, step)
 
     l_path = np.cumsum(counts, axis=1) / n
     default_times = default_times.reshape(width, n)

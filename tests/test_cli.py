@@ -1,10 +1,15 @@
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creditpool import convergence, moment_diagnostic, run_replications
-from creditpool.cli import build_grid, build_sim, load_config, main
+from creditpool.cli import DEFAULT_CONFIG, load_config, main, resolve_config
 
 SMALL_GRID = ["--set", "grid.n_steps=80"]
 
@@ -163,10 +168,9 @@ class TestSimulateCommand:
         assert main(["simulate", "--out", str(on), *SIM_ARGS,
                      "--set", "sim.record_moments=true"]) == 0
         assert (on / "paths.csv").read_bytes() == (off / "paths.csv").read_bytes()
-        config = load_config(str(on / "simulate_manifest.json"), [], None)
-        grid = build_grid(config)
-        sim_config, n_reps = build_sim(config, grid)
-        expected = run_replications(sim_config, n_reps).results
+        run = resolve_config(load_config(str(on / "simulate_manifest.json"), [], None))
+        grid, n_reps = run.sim.grid, run.sim_reps
+        expected = run_replications(run.sim, n_reps).results
         header, rows = read_csv(on / "moments.csv")
         assert header == ["t", "rep", "m1", "m2"]
         assert column(header, rows, "rep", int) == [r for r in range(n_reps)
@@ -224,6 +228,19 @@ class TestSimulateCommand:
         )
         assert code == 4
 
+    def test_overflowing_moments_exit_code(self, tmp_path, capsys):
+        # every intensity is finite, but the pool mean of 6e307 overflows;
+        # this escaped as a ValueError from model.Trajectory, exit 1
+        atom = {"alpha": 0, "lambda_bar": 0, "sigma": 0, "beta_c": 0, "beta_s": 0,
+                "lambda_init": 6e307, "weight": 1}
+        code = main(["simulate", "--out", str(tmp_path), "--set", "sim.record_moments=true",
+                     "--set", "measure.cap=1e308", "--set", f"measure.atoms=[{json.dumps(atom)}]",
+                     "--set", "sim.n_firms=4", "--set", "sim.n_reps=2",
+                     "--set", "grid.n_steps=20"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "replication 0" in err and "step 0" in err
+
 
 class TestConvergeCommand:
     def test_rows_and_metadata(self, tmp_path):
@@ -256,6 +273,43 @@ class TestConvergeCommand:
         assert override.split("=")[0] in capsys.readouterr().err
 
 
+# Each of these was ignored by some command and exited 0; now every command
+# checks every section.  solver.relaxation is a removed key.
+@pytest.mark.parametrize("command", ["limit", "simulate", "converge", "figures"])
+@pytest.mark.parametrize("override", [
+    "sim.n_firms=0",
+    "converge.n_reps=1",
+    "factor.eps.value=NaN",
+    "measure.cap=NaN",
+    "solver.relaxation=0.5",
+])
+def test_every_command_checks_every_section(tmp_path, capsys, command, override):
+    code = main([command, "--out", str(tmp_path), *SIM_ARGS, "--set", override])
+    assert code == 2
+    key = override.split("=")[0]
+    err = capsys.readouterr().err
+    # names the section and the field
+    assert key.split(".")[0] in err and key.split(".")[-1] in err
+    assert not (tmp_path / f"{command}_manifest.json").exists()
+
+
+def test_error_names_every_broken_section(tmp_path, capsys):
+    code = main(["limit", "--out", str(tmp_path), *SMALL_GRID,
+                 "--set", "measure.atoms.0.sigma=-1", "--set", "converge.n_values=[]"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "measure.atoms[0].firm_type.sigma" in err and "converge.n_values" in err
+
+
+@pytest.mark.parametrize("cap", ["NaN", "Infinity", "-1"])
+def test_cap_must_be_finite_and_positive(tmp_path, capsys, cap):
+    # NaN turned every cap check off and ran; -1 reported a CAP_EXCEEDED per field
+    assert main(["limit", "--out", str(tmp_path), *SMALL_GRID,
+                 "--set", f"measure.cap={cap}"]) == 2
+    err = capsys.readouterr().err
+    assert "measure.cap" in err and "CAP_EXCEEDED" not in err
+
+
 @pytest.fixture
 def recorded_solves(monkeypatch):
     """The keyword arguments of every solve_limit call made by the experiments."""
@@ -274,12 +328,12 @@ def recorded_solves(monkeypatch):
     ("converge", ["--set", "converge.n_values=[20]", "--set", "converge.n_reps=2"]),
     ("figures", []),
 ])
-def test_relaxation_reaches_the_solver(tmp_path, recorded_solves, command, args):
+def test_solver_settings_reach_the_solver(tmp_path, recorded_solves, command, args):
     code = main([command, "--out", str(tmp_path), "--set", "grid.n_steps=40",
-                 "--set", "solver.relaxation=0.5", *args])
+                 "--set", "solver.tol=1e-9", "--set", "solver.max_iter=50", *args])
     assert code == 0
     assert recorded_solves
-    assert all(call["relaxation"] == 0.5 for call in recorded_solves)
+    assert all(call["tol"] == 1e-9 and call["max_iter"] == 50 for call in recorded_solves)
 
 
 class TestFiguresCommand:
@@ -369,3 +423,48 @@ class TestConfigPlumbing:
         _, rows = read_csv(tmp_path / "limit.csv")
         assert len(rows) == 41
         assert float(rows[-1][0]) == 1.0
+
+
+def test_readme_configuration_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    assert json.loads(block) == DEFAULT_CONFIG
+
+
+# Fuzz: one leaf of a tiny config replaced by a value of another kind; every
+# command must leave through a documented exit code.  Size fields (pool
+# sizes, replication and step counts) get only invalid kinds or small
+# values, so that a valid but huge run cannot stall the suite.
+FUZZ_SIZES = {"grid.n_steps": 20, "sim.n_firms": 20, "sim.n_reps": 2, "converge.n_reps": 2}
+FUZZ_BASE = [f"{key}={value}" for key, value in FUZZ_SIZES.items()] + ["converge.n_values=[10,20]"]
+FUZZ_VALUES = [True, False, None, "x", [], [1], {}, {"k": 1}, math.nan, math.inf, -math.inf,
+               0, -1, 1e308]
+
+
+def _leaves(node, path=()):
+    """Dotted paths of every non-object value under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (str(key),))
+        else:
+            yield ".".join(path + (str(key),))
+            if isinstance(value, list):
+                yield from _leaves(value, path + (str(key),))
+
+
+FUZZ_LEAVES = sorted(_leaves(load_config(None, FUZZ_BASE, None)))
+FUZZ_SIZE_LEAVES = {*FUZZ_SIZES, "converge.n_values", "converge.n_values.0", "converge.n_values.1"}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["limit", "simulate", "converge", "figures"]),
+       leaf=st.sampled_from(FUZZ_LEAVES), data=st.data())
+def test_fuzzed_leaf_exits_with_a_documented_code(tmp_path_factory, command, leaf, data):
+    values = [v for v in FUZZ_VALUES if leaf not in FUZZ_SIZE_LEAVES or v != 1e308]
+    value = data.draw(st.sampled_from(values))
+    sets = [arg for expr in FUZZ_BASE + [f"{leaf}={json.dumps(value)}"]
+            for arg in ("--set", expr)]
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main([command, "--out", str(out), *sets]) in {0, 2, 3, 4, 5}

@@ -59,12 +59,6 @@ class TestSolveQ:
         assert len(h) >= 4
         assert all(h[i + 1] <= h[i] for i in range(2, len(h) - 1))
 
-    def test_under_relaxation_reaches_same_point(self, base_measure, grid_coarse):
-        _, plain = solve_pool(base_measure, grid_coarse, tol=1e-11)
-        _, damped = solve_pool(base_measure, grid_coarse, tol=1e-11, relaxation=0.5)
-        assert plain.q.sup_distance(damped.q) < 1e-9
-        assert damped.iterations > plain.iterations
-
     def test_no_convergence_reported(self, base_measure, grid_coarse):
         with pytest.raises(NoConvergenceError) as err:
             solve_pool(base_measure, grid_coarse, max_iter=2)
@@ -75,8 +69,6 @@ class TestSolveQ:
         riccati = riccati_for_measure(base_measure, grid_coarse)
         with pytest.raises(ValueError):
             solve_q(base_measure, riccati, grid_coarse, tol=0.0)
-        with pytest.raises(ValueError):
-            solve_q(base_measure, riccati, grid_coarse, relaxation=1.5)
         with pytest.raises(ValueError):
             solve_q(base_measure, riccati, TimeGrid(1.0, 100))
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ def make_config(n_firms=200, grid=None, seed=123, measure=None, factor=None, **k
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
-        config = make_config()
+        config = make_config(record_moments=True)
         a, b = simulate(config), simulate(config)
         np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
         np.testing.assert_array_equal(a.default_times, b.default_times)
@@ -80,7 +80,8 @@ class TestDeterminism:
             )
         )
         for n_firms in (7, 100):
-            config = make_config(n_firms=n_firms, measure=m, grid=TimeGrid(1.0, 150), seed=124)
+            config = make_config(n_firms=n_firms, measure=m, grid=TimeGrid(1.0, 150), seed=124,
+                                 record_moments=True)
             alone = [simulate(config, r) for r in range(6)]
             assert alone[0].l_path.values[-1] > 0.0
             for width in (1, 2, 6):
@@ -122,7 +123,7 @@ class TestPathStructure:
 
     def test_zero_pool_is_absorbing(self):
         m = homogeneous_measure(FirmType(4.0, 0.0, 0.9, 2.0), 0.0)
-        result = simulate(make_config(measure=m))
+        result = simulate(make_config(measure=m, record_moments=True))
         assert np.all(result.l_path.values == 0.0)
         assert np.all(np.isnan(result.default_times))
         assert np.all(moment_diagnostic(result, 1).values == 0.0)
@@ -131,7 +132,8 @@ class TestPathStructure:
     def test_single_firm_pool(self):
         m = homogeneous_measure(FirmType(0.0, 0.0, 0.0, beta_c=2.0), 5.0)
         result = simulate(
-            make_config(n_firms=1, measure=m, grid=TimeGrid(2.0, 400), seed=5)
+            make_config(n_firms=1, measure=m, grid=TimeGrid(2.0, 400), seed=5,
+                        record_moments=True)
         )
         l = result.l_path.values
         assert set(np.unique(l)) == {0.0, 1.0}
@@ -166,11 +168,17 @@ class TestPathStructure:
 
     def test_finite_state_whose_sum_overflows(self):
         # each intensity is finite, their sum is not: no error, and every
-        # firm defaults on the first step
+        # firm defaults on the first step; but their recorded pool mean
+        # overflows from the start
         m = homogeneous_measure(FirmType(0.0, 0.0, 0.0, 0.0), 6e307)
         result = simulate(make_config(measure=m, n_firms=4, grid=TimeGrid(1.0, 20),
                                       record_moments=False))
         assert np.all(result.l_path.values[1:] == 1.0)
+        with pytest.raises(NonFiniteStateError) as err:
+            simulate(make_config(measure=m, n_firms=4, grid=TimeGrid(1.0, 20),
+                                 record_moments=True), replication=3)
+        assert (err.value.replication, err.value.firm, err.value.step) == (3, None, 0)
+        assert "replication 3" in str(err.value) and "step 0" in str(err.value)
 
     def test_peak_memory_bounded_at_large_pool(self):
         # the normals of 1000 steps alone would take 160 MB at once
@@ -200,14 +208,15 @@ class TestOracles:
         # small bias from freezing defaulted firms (few at these levels)
         grid = TimeGrid(1.0, 500)
         m = homogeneous_measure(FirmType(4.0, 0.05, 0.3, 0.0), 0.1)
-        result = simulate(make_config(n_firms=4000, measure=m, grid=grid, seed=9))
+        result = simulate(make_config(n_firms=4000, measure=m, grid=grid, seed=9,
+                                      record_moments=True))
         t = grid.points()
         expected = 0.05 + (0.1 - 0.05) * np.exp(-4.0 * t)
         observed = moment_diagnostic(result, 1).values
         assert np.max(np.abs(observed - expected)) < 5e-3
 
     def test_second_moment_stays_bounded(self):
-        result = simulate(make_config(n_firms=2000, grid=TimeGrid(1.0, 500)))
+        result = simulate(make_config(n_firms=2000, grid=TimeGrid(1.0, 500), record_moments=True))
         m2 = moment_diagnostic(result, 2).values
         assert np.all(np.isfinite(m2))
         assert m2.max() < 5.0
@@ -237,7 +246,7 @@ class TestMoments:
             moment_diagnostic(result, 1)
 
     def test_unsupported_order(self):
-        result = simulate(make_config())
+        result = simulate(make_config(record_moments=True))
         with pytest.raises(MomentsNotRecordedError):
             moment_diagnostic(result, 3)
 
@@ -403,7 +412,8 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("width", [1, 2, 6])
     def test_bit_identical_to_reference(self, monkeypatch, name, width):
         # 77 steps: not a multiple of any buffer size, so the last block is partial
-        config = make_config(grid=TimeGrid(1.0, 77), seed=11, **self.CASES[name])
+        config = make_config(grid=TimeGrid(1.0, 77), seed=11, record_moments=True,
+                             **self.CASES[name])
         monkeypatch.setattr(simulate_module, "_CELL_BUDGET", width * config.n_firms)
         results = run_replications(config, 6).results
         l_path, default_times, m1, m2 = reference_batch(config, range(6))
