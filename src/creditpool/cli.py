@@ -201,6 +201,20 @@ def _integer(value, where: str) -> int:
     return value
 
 
+# Ceiling of every size field (steps, firms, replications, pool sizes): far
+# beyond any run that fits in memory, and low enough that no array shape
+# or loop count built from it overflows.
+MAX_SIZE = 2**31 - 1
+
+
+def _size(value, where: str) -> int:
+    """An integer (see :func:`_integer`) no larger than :data:`MAX_SIZE`."""
+    n = _integer(value, where)
+    if n > MAX_SIZE:
+        raise ConfigError(f"{where} must be <= {MAX_SIZE}, got {value!r}")
+    return n
+
+
 # One builder per section.  Each raises ConfigError for a field it checks
 # itself; the domain constructors raise ValueError or ValidationError for
 # the rules they own.
@@ -248,7 +262,7 @@ def _factor(section: dict) -> SystematicFactorConfig:
 
 def _grid(section: dict) -> TimeGrid:
     return TimeGrid(t_end=_number(section["t_end"], "grid.t_end"),
-                    n_steps=_integer(section["n_steps"], "grid.n_steps"))
+                    n_steps=_size(section["n_steps"], "grid.n_steps"))
 
 
 def _solver(section: dict) -> tuple[float, int]:
@@ -264,13 +278,13 @@ def _solver(section: dict) -> tuple[float, int]:
 def _sim(section: dict, measure, factor, grid) -> tuple[SimConfig, int]:
     if not isinstance(section["record_moments"], bool):
         raise ConfigError("sim.record_moments must be true or false")
-    n_reps = _integer(section["n_reps"], "sim.n_reps")
+    n_reps = _size(section["n_reps"], "sim.n_reps")
     if n_reps < 1:
         raise ConfigError("sim.n_reps must be >= 1")
     # SimConfig checks n_firms, seed and assignment; it does not look at
     # the measure, factor or grid, so a broken one (None) still lets it run
     sim = SimConfig(
-        n_firms=_integer(section["n_firms"], "sim.n_firms"),
+        n_firms=_size(section["n_firms"], "sim.n_firms"),
         measure=measure,
         factor=factor,
         grid=grid,
@@ -284,10 +298,10 @@ def _sim(section: dict, measure, factor, grid) -> tuple[SimConfig, int]:
 def _converge(section: dict) -> tuple[tuple[int, ...], int]:
     if not isinstance(section["n_values"], list) or not section["n_values"]:
         raise ConfigError("converge.n_values must be a non-empty list of pool sizes")
-    n_values = tuple(_integer(n, "converge.n_values[]") for n in section["n_values"])
+    n_values = tuple(_size(n, "converge.n_values[]") for n in section["n_values"])
     if min(n_values) < 1:
         raise ConfigError("converge.n_values must all be >= 1")
-    n_reps = _integer(section["n_reps"], "converge.n_reps")
+    n_reps = _size(section["n_reps"], "converge.n_reps")
     if n_reps < 2:
         raise ConfigError("converge.n_reps must be >= 2")
     return n_values, n_reps
@@ -460,6 +474,16 @@ def _run(command: str, config: dict, run: RunConfig, out: Path) -> None:
         fh.write("\n")
 
 
+def _sizes(command: str, run: RunConfig) -> str:
+    """The size fields a command's memory grows with, as ``key=value`` pairs."""
+    sizes = {"grid.n_steps": run.sim.grid.n_steps}
+    if command == "simulate":
+        sizes |= {"sim.n_firms": run.sim.n_firms, "sim.n_reps": run.sim_reps}
+    elif command == "converge":
+        sizes |= {"converge.n_values": list(run.n_values), "converge.n_reps": run.converge_reps}
+    return ", ".join(f"{key}={value}" for key, value in sizes.items())
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="creditpool",
@@ -489,7 +513,12 @@ def main(argv=None) -> int:
         run = resolve_config(config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _run(args.command, config, run, out)
+        try:
+            _run(args.command, config, run, out)
+        except MemoryError as exc:  # sizes under the ceiling can still be too large
+            print(f"error (OUT_OF_MEMORY): {args.command} does not fit in memory at "
+                  f"{_sizes(args.command, run)}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         return EXIT_OK
     except (ConfigError, ValidationError) as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)

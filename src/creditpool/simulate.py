@@ -17,11 +17,16 @@ set of flat arrays over its live ``(replication, firm)`` cells and one
 time step is one pass of numpy operations over them.
 :func:`run_replications` cuts its replications into batches of
 ``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
-Normals are drawn half a ``_NORMAL_BLOCK`` of steps at a time by one
-helper thread, into one of two buffers while the stepping reads the
-other, so memory is O(batch cells), not O(N * n_steps).  A defaulted
-firm's threshold becomes NaN, which no integrated intensity reaches; at
-each buffer boundary the cells with NaN thresholds are dropped
+Normals are drawn by one helper thread into one of two buffers while the
+stepping reads the other.  A batch of C cells puts
+``max(16, _CELL_BUDGET // C)`` steps in a buffer, at most ``n_steps``:
+1000 cells get 65 steps, and any batch of 4096 cells or more gets 16.
+The two buffers together therefore hold at most ``32 * _CELL_BUDGET``
+doubles (16 MB), or ``32 * N`` for a replication of more than
+``_CELL_BUDGET`` firms, so memory is O(batch cells), not O(N * n_steps),
+while a small batch pays its per-buffer costs less often.
+A defaulted firm's threshold becomes NaN, which no integrated intensity
+reaches; at each buffer boundary the cells with NaN thresholds are dropped
 (compaction).  Within a block a firm that has defaulted is still
 stepped, but no output reads it.
 
@@ -32,8 +37,8 @@ in step order.  The step takes the drift as ``(lbar - lam+) * (alpha dt)``
 and the noise as ``sqrt(lam+) * (sigma sqrt(dt)) * Z``.  The shared
 factor and the sampled atom assignment have streams of their own under
 the same key.  A replication's output is therefore bit-identical however
-the replications are batched, and neither the helper thread nor
-compaction changes a bit; a firm's noise does depend on N.
+the replications are batched, and neither the helper thread, the buffer
+length nor compaction changes a bit; a firm's noise does depend on N.
 """
 
 from __future__ import annotations
@@ -67,15 +72,13 @@ _STREAM_ASSIGN = 2
 
 # Replications x firms stepped together.  Small pools share a batch, so
 # per-step interpreter overhead is paid once for many replications; the
-# cap bounds a batch's memory (its two normals buffers hold at most
-# _NORMAL_BLOCK * _CELL_BUDGET doubles together, 16 MB).  Compaction only
-# shrinks the per-cell state below this cap.
+# cap bounds a batch's memory.  It also sizes the normals buffers (see the
+# module docstring): a small batch gets longer buffers, so it pays the
+# per-buffer costs (a handoff with the helper thread, one generator call
+# per replication, compaction) less often.  Compaction only shrinks the
+# per-cell state below this cap.  Part of no contract: a stream's draws
+# do not depend on how they are blocked.
 _CELL_BUDGET = 1 << 16
-
-# Steps of normals in the two buffers together: each holds half of them,
-# and the live cells are compacted once per half.  Part of no contract: a
-# stream's draws do not depend on how they are blocked.
-_NORMAL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -239,8 +242,9 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     # factor exposure, intensity, integrated intensity, threshold (NaN once
     # the firm has defaulted).  Rows of `ids`: flat cell index, replication
     # in the batch, offset of the cell's first normal in a buffer.
-    block = min(_NORMAL_BLOCK // 2, n_steps)  # steps per normals buffer
-    cell = np.arange(width * n)
+    cells = width * n
+    block = min(max(16, _CELL_BUDGET // cells), n_steps)  # steps per normals buffer
+    cell = np.arange(cells)
     table = np.stack([
         per_cell([a.firm_type.alpha * dt for a in atoms]),
         per_cell([a.firm_type.lambda_bar for a in atoms]),
@@ -248,13 +252,13 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
         per_cell([a.firm_type.beta_c for a in atoms]),
         eps * per_cell([a.firm_type.beta_s for a in atoms]),
         per_cell([a.lambda_init for a in atoms]),
-        np.zeros(width * n),
+        np.zeros(cells),
         np.concatenate([g.standard_exponential(n) for g in firm_rngs]),
     ])
     ids = np.stack([cell, cell // n, cell // n * (block * n) + cell % n])
-    live = width * n
+    live = cells
     hit = np.empty(live, dtype=bool)
-    work = np.empty((4, live))
+    work = np.empty((5, live))
 
     # Two buffers of `block` steps each: the helper thread draws the next
     # block into one while this thread steps through the other,
@@ -270,7 +274,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             g.standard_normal(count, out=out[:count])
 
     counts = np.zeros((width, n_steps + 1), dtype=np.int64)  # defaults per step
-    default_times = np.full(width * n, np.nan)
+    default_times = np.full(cells, np.nan)
     if config.record_moments:
         # every firm's latest intensity; a defaulted firm's stays frozen
         frozen = table[5].copy()
@@ -303,47 +307,49 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             alpha_dt, lbar, sigma_sqdt, beta_c, exposure, lam, integrated, thresholds = table[:, :live]
             cell, rep, offset = ids[:, :live]
             hit = hit[:live]
-            lam_plus, incr, term, scratch = work[:, :live]
+            lam_plus, next_plus, incr, term, scratch = work[:, :live]
             flat_normals = normals[buf].reshape(-1)
+            np.maximum(lam, 0.0, out=lam_plus)
 
             # One step, in place:  with lam+ = max(lam, 0),
             #   lam += (lbar - lam+) (alpha dt) + sqrt(lam+) (sigma sqrt(dt)) Z
             #          + exposure lam+ dx,
             #   integrated += dt/2 (lam+ + max(lam, 0)),
             # each product taken in the order written, so the bits match
-            # the formula evaluated term by term.
+            # the formula evaluated term by term.  The new max(lam, 0) is
+            # the next step's lam+ unless a default jump moves lam.
             for k in range(start, min(start + block, n_steps)):
                 j = k - start
-                np.maximum(lam, 0.0, out=lam_plus)
                 np.subtract(lbar, lam_plus, out=incr)
                 incr *= alpha_dt
                 np.sqrt(lam_plus, out=term)
                 term *= sigma_sqdt
-                term *= np.take(flat_normals[j * n:], offset, out=scratch, mode="clip")
+                term *= flat_normals[j * n:].take(offset, out=scratch, mode="clip")
                 incr += term
                 if factor_active:
                     x_new = x * ou_decay + ou_scale * factor_normals[buf, :, j]
                     dx = x_new - x
                     x = x_new
                     np.multiply(exposure, lam_plus, out=term)
-                    term *= np.take(dx, rep, out=scratch, mode="clip")
+                    term *= dx.take(rep, out=scratch, mode="clip")
                     incr += term
                 lam += incr
                 # any NaN or inf makes the sum non-finite; an overflowing sum
                 # of finite values only costs a search that finds nothing
-                if not math.isfinite(lam.sum()):
+                if not math.isfinite(np.add.reduce(lam)):
                     bad = np.flatnonzero((thresholds == thresholds) & ~np.isfinite(lam))
                     if bad.size:
                         r, firm = divmod(int(cell[bad[0]]), n)
                         raise NonFiniteStateError(replications[r], firm, k + 1)
-                np.maximum(lam, 0.0, out=term)
-                term += lam_plus
+                np.maximum(lam, 0.0, out=next_plus)
+                np.add(next_plus, lam_plus, out=term)
                 term *= half_dt
                 integrated += term
+                lam_plus, next_plus = next_plus, lam_plus
 
                 np.greater_equal(integrated, thresholds, out=hit)
-                if hit.any():
-                    newly = np.flatnonzero(hit)
+                newly = hit.nonzero()[0]
+                if newly.size:
                     d = np.bincount(rep[newly], minlength=width)
                     thresholds[newly] = np.nan
                     default_times[cell[newly]] = (k + 1) * dt
@@ -353,10 +359,11 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                         frozen[cell[newly]] = lam[newly]
                     # one batched jump: d defaults each contribute beta_c / N
                     # (defaulted cells jump too, but nothing reads them)
-                    jump = np.take(d.astype(float), rep, out=scratch, mode="clip")
+                    jump = d.astype(float).take(rep, out=scratch, mode="clip")
                     jump *= beta_c
                     jump /= n
                     lam += jump
+                    np.maximum(lam, 0.0, out=lam_plus)
 
                 if config.record_moments:
                     alive = thresholds == thresholds

@@ -1,3 +1,8 @@
+import contextlib
+import faulthandler
+import os
+import sys
+
 import pytest
 
 from creditpool import (
@@ -6,6 +11,28 @@ from creditpool import (
     TimeGrid,
     homogeneous_measure,
 )
+
+# A test that hangs (say, waiting on a helper thread that never frees a
+# buffer) ends the run with every thread's traceback instead of stalling it.
+HANG_SECONDS = 120
+
+
+@pytest.fixture(scope="session")
+def terminal_stderr(pytestconfig):
+    """A descriptor for the run's own stderr, which output capture leaves alone."""
+    capture = pytestconfig.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
+        fd = os.dup(sys.stderr.fileno())
+    yield fd
+    os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def fail_on_hang(terminal_stderr):
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 # The recurring base case: a homogeneous pool with strong mean reversion
 # and a sizable contagion sensitivity.

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditpool import convergence, moment_diagnostic, run_replications
-from creditpool.cli import DEFAULT_CONFIG, load_config, main, resolve_config
+from creditpool import ValidationError, convergence, moment_diagnostic, run_replications
+from creditpool.cli import DEFAULT_CONFIG, MAX_SIZE, load_config, main, resolve_config
+
+cli_module = import_module("creditpool.cli")
 
 SMALL_GRID = ["--set", "grid.n_steps=80"]
 
@@ -293,6 +296,55 @@ def test_every_command_checks_every_section(tmp_path, capsys, command, override)
     assert not (tmp_path / f"{command}_manifest.json").exists()
 
 
+# Before the size ceiling these exited 1 (numpy's "Maximum allowed size
+# exceeded", "negative dimensions", "Unable to allocate 7.28 TiB") or, for
+# sim.n_reps, ran on without end.  Now the resolver stops them before any
+# computation, so none of them allocates.
+@pytest.mark.parametrize("command, sets", [
+    ("limit", ["grid.n_steps=1e308"]),
+    ("simulate", ["grid.n_steps=10", "sim.n_firms=1e308"]),
+    ("simulate", ["grid.n_steps=10", "sim.n_firms=1e12"]),
+    ("simulate", ["grid.n_steps=10", "sim.n_reps=1e308"]),
+])
+def test_oversized_run_exits_before_computing(tmp_path, capsys, monkeypatch, command, sets):
+    def must_not_run(*args):
+        raise AssertionError("an oversized run reached the computation")
+
+    monkeypatch.setattr(cli_module, "_run", must_not_run)
+    code = main([command, "--out", str(tmp_path), *(a for e in sets for a in ("--set", e))])
+    assert code == 2
+    field = sets[-1].split("=")[0]
+    assert f"{field} must be <= {MAX_SIZE}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, field", [
+    ("grid.n_steps", "grid.n_steps"),
+    ("sim.n_firms", "sim.n_firms"),
+    ("sim.n_reps", "sim.n_reps"),
+    ("converge.n_reps", "converge.n_reps"),
+    ("converge.n_values.1", "converge.n_values[]"),
+])
+def test_size_ceiling_is_inclusive(key, field):
+    resolve_config(load_config(None, [f"{key}={MAX_SIZE}"], None))
+    with pytest.raises(ValidationError, match=re.escape(f"{field} must be <= {MAX_SIZE}")):
+        resolve_config(load_config(None, [f"{key}={MAX_SIZE + 1}"], None))
+
+
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    # a size under the ceiling can still not fit; numpy raises MemoryError
+    def no_room(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli_module, "run_replications", no_room)
+    code = main(["simulate", "--out", str(tmp_path), "--set", "grid.n_steps=10",
+                 "--set", "sim.n_firms=1e9"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "OUT_OF_MEMORY" in err and "7.28 TiB" in err
+    assert "grid.n_steps=10, sim.n_firms=1000000000, sim.n_reps=20" in err
+    assert not (tmp_path / "simulate_manifest.json").exists()
+
+
 def test_error_names_every_broken_section(tmp_path, capsys):
     code = main(["limit", "--out", str(tmp_path), *SMALL_GRID,
                  "--set", "measure.atoms.0.sigma=-1", "--set", "converge.n_values=[]"])
@@ -434,8 +486,8 @@ def test_readme_configuration_block_is_the_default_config():
 
 # Fuzz: one leaf of a tiny config replaced by a value of another kind; every
 # command must leave through a documented exit code.  Size fields (pool
-# sizes, replication and step counts) get only invalid kinds or small
-# values, so that a valid but huge run cannot stall the suite.
+# sizes, replication and step counts) get invalid kinds, small values and
+# 1e308, which the size ceiling rejects before anything runs.
 FUZZ_SIZES = {"grid.n_steps": 20, "sim.n_firms": 20, "sim.n_reps": 2, "converge.n_reps": 2}
 FUZZ_BASE = [f"{key}={value}" for key, value in FUZZ_SIZES.items()] + ["converge.n_values=[10,20]"]
 FUZZ_VALUES = [True, False, None, "x", [], [1], {}, {"k": 1}, math.nan, math.inf, -math.inf,
@@ -455,15 +507,13 @@ def _leaves(node, path=()):
 
 
 FUZZ_LEAVES = sorted(_leaves(load_config(None, FUZZ_BASE, None)))
-FUZZ_SIZE_LEAVES = {*FUZZ_SIZES, "converge.n_values", "converge.n_values.0", "converge.n_values.1"}
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(command=st.sampled_from(["limit", "simulate", "converge", "figures"]),
        leaf=st.sampled_from(FUZZ_LEAVES), data=st.data())
 def test_fuzzed_leaf_exits_with_a_documented_code(tmp_path_factory, command, leaf, data):
-    values = [v for v in FUZZ_VALUES if leaf not in FUZZ_SIZE_LEAVES or v != 1e308]
-    value = data.draw(st.sampled_from(values))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
     sets = [arg for expr in FUZZ_BASE + [f"{leaf}={json.dumps(value)}"]
             for arg in ("--set", expr)]
     out = tmp_path_factory.mktemp("fuzz")

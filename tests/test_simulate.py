@@ -52,6 +52,19 @@ def make_config(n_firms=200, grid=None, seed=123, measure=None, factor=None, **k
     )
 
 
+def count_buffers(monkeypatch) -> list[int]:
+    """The number of normals buffers each batch fills, appended batch by batch."""
+    seen = []
+
+    class Spy(simulate_module._Prefetch):
+        def __init__(self, fill, count):
+            seen.append(count)
+            super().__init__(fill, count)
+
+    monkeypatch.setattr(simulate_module, "_Prefetch", Spy)
+    return seen
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         config = make_config(record_moments=True)
@@ -236,6 +249,57 @@ class TestOracles:
             )
             finals[name] = np.array([r.l_path.values[-1] for r in reps.results])
         assert finals["fixed"].var() > finals["sqrt"].var()
+
+    # Fixed before the first run: the seed, and the 0.999 quantile of
+    # chi-square with 10 degrees of freedom (10 step bins and survival).
+    BINOMIAL_SEED = 20260810
+    CHI2_10_Q999 = 29.59
+
+    @pytest.mark.parametrize("n_reps, buffers", [(250, 2), (2000, 7)])
+    def test_exact_binomial_oracle(self, monkeypatch, n_reps, buffers):
+        # sigma = beta_c = beta_s = 0: every firm has the same deterministic
+        # integrated intensity Lambda_k, the simulator's own Euler and
+        # trapezoid sum, so a firm defaults at the first step with
+        # Lambda_k >= its Exp(1) threshold.  N = 4 firms per replication;
+        # 1000 cells get 65-step buffers, 8000 cells get 16-step ones.
+        grid = TimeGrid(1.0, 100)
+        alpha, lbar, lam0 = 3.0, 1.0, 0.2
+        n = 4
+        config = make_config(n_firms=n, grid=grid, seed=self.BINOMIAL_SEED,
+                             measure=homogeneous_measure(FirmType(alpha, lbar, 0.0, 0.0), lam0))
+        seen = count_buffers(monkeypatch)
+        reps = run_replications(config, n_reps)
+        assert seen == [buffers]
+
+        dt = grid.dt
+        alpha_dt, half_dt = alpha * dt, 0.5 * dt
+        lam, big_lambda = lam0, [0.0]
+        for _ in range(grid.n_steps):
+            lam_plus = max(lam, 0.0)
+            lam = lam + (lbar - lam_plus) * alpha_dt
+            big_lambda.append(big_lambda[-1] + (max(lam, 0.0) + lam_plus) * half_dt)
+        big_lambda = np.array(big_lambda)
+
+        # bit for bit: each firm's default time from its own threshold
+        for result in reps.results:
+            thresholds = np.random.Generator(np.random.SFC64(simulate_module._seed_sequence(
+                config.seed, result.replication, simulate_module._STREAM_FIRM
+            ))).standard_exponential(n)
+            step = np.searchsorted(big_lambda, thresholds)
+            expected = np.where(step <= grid.n_steps, step * dt, np.nan)
+            np.testing.assert_array_equal(result.default_times, expected)
+
+        # in law: defaults per step, read from the aggregated L paths, against
+        # the multinomial p_k = exp(-Lambda_{k-1}) - exp(-Lambda_k)
+        per_step = np.rint(np.diff(np.stack([r.l_path.values for r in reps.results])) * n)
+        observed = np.append(per_step.sum(axis=0).reshape(10, 10).sum(axis=1),
+                             n * n_reps - per_step.sum())
+        survival = np.exp(-big_lambda)
+        p = np.append(-np.diff(survival[::10]), survival[-1])
+        expected = n * n_reps * p
+        assert expected.min() > 5.0
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2 < self.CHI2_10_Q999
 
 
 class TestMoments:
@@ -425,11 +489,40 @@ class TestReferenceKernel:
             np.testing.assert_array_equal(moment_diagnostic(result, 1).values, m1[i])
             np.testing.assert_array_equal(moment_diagnostic(result, 2).values, m2[i])
 
-    def test_nonfinite_after_compaction_names_the_cell(self):
+    @pytest.mark.parametrize("block, buffers", [(16, 10), (65, 3), (150, 1)])
+    def test_buffer_length_changes_no_bit(self, monkeypatch, block, buffers):
+        # one batch of 10 x 100 cells, whose half-buffer length the budget
+        # sets: 16 steps, 65 (what 1000 cells get by default) and the whole run
+        config = make_config(n_firms=100, measure=TWO_ATOMS, grid=TimeGrid(1.0, 150), seed=11,
+                             record_moments=True)
+        monkeypatch.setattr(simulate_module, "_CELL_BUDGET", block * 1000)
+        seen = count_buffers(monkeypatch)
+        results = run_replications(config, 10).results
+        assert seen == [buffers]
+        l_path, default_times, m1, m2 = reference_batch(config, range(10))
+        assert np.all(l_path[:, -1] > 0.0)
+        for i, result in enumerate(results):
+            np.testing.assert_array_equal(result.l_path.values, l_path[i])
+            np.testing.assert_array_equal(result.default_times, default_times[i])
+            np.testing.assert_array_equal(moment_diagnostic(result, 1).values, m1[i])
+            np.testing.assert_array_equal(moment_diagnostic(result, 2).values, m2[i])
+
+    def test_buffer_length_follows_cell_count(self, monkeypatch):
+        # max(16, _CELL_BUDGET // cells) steps, at most the whole run: 1000
+        # cells get 65 steps, 4096 and 20000 cells 16, and 7 cells all 130
+        seen = count_buffers(monkeypatch)
+        grid = TimeGrid(1.0, 130)
+        for n_firms, n_reps in ((100, 10), (4096, 1), (20_000, 1), (7, 1)):
+            run_replications(make_config(n_firms=n_firms, grid=grid), n_reps)
+        assert seen == [2, 9, 9, 1]
+
+    def test_nonfinite_after_compaction_names_the_cell(self, monkeypatch):
         config = make_config(n_firms=N_NONFINITE, measure=NONFINITE_MEASURE,
                              grid=TimeGrid(10.0, 40), seed=18)
-        # replication 0 loses firms before the first buffer boundary, so
-        # replication 1's cells sit at shifted places in the live arrays
+        # 16-step buffers for the one batch of 3 x 12 cells; replication 0
+        # loses firms before the first buffer boundary, so replication 1's
+        # cells sit at shifted places in the live arrays
+        monkeypatch.setattr(simulate_module, "_CELL_BUDGET", 16 * 3 * N_NONFINITE)
         _, default_times, _, _ = reference_batch(config, range(1))
         assert np.sum(default_times <= 16 * config.grid.dt) >= 1
         with pytest.raises(NonFiniteStateError) as expected:
@@ -464,8 +557,10 @@ class TestHelperThread:
                 return super().standard_normal(*args, **kwargs)
 
         # firm streams draw their thresholds here, their normals on the
-        # helper, one call per block of a single replication
+        # helper, one call per block of a single replication; 16-step
+        # buffers give 7 blocks over 100 steps
         monkeypatch.setattr(np.random, "Generator", BrokenNormals)
+        monkeypatch.setattr(simulate_module, "_CELL_BUDGET", 16 * 20)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="no room for normals"):
             simulate(make_config(n_firms=20, grid=TimeGrid(1.0, 100)))
