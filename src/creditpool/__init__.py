@@ -31,7 +31,6 @@ from .errors import (
 )
 from .limit import (
     LimitSolution,
-    PicardResult,
     compute_f,
     effective_contagion_weight,
     f_derivative,
@@ -72,7 +71,7 @@ __all__ = [
     "validate_measure", "product_measure", "homogeneous_measure",
     # riccati / limit
     "RiccatiSolution", "solve_riccati", "saturation_level", "riccati_for_measure",
-    "PicardResult", "LimitSolution", "solve_q", "compute_f", "f_derivative",
+    "LimitSolution", "solve_q", "compute_f", "f_derivative",
     "effective_contagion_weight", "solve_homogeneous_f", "solve_limit",
     # simulation
     "SimConfig", "SimResult", "ReplicationSet",

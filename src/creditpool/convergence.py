@@ -88,7 +88,8 @@ def lln_experiment(
 ) -> ConvergenceReport:
     """Simulate across pool sizes and compare against the limit curve.
 
-    The limit is solved once per grid (or supplied).  Each pool size runs
+    The limit is solved once per grid (or supplied, in which case it must
+    have been solved for this measure and grid).  Each pool size runs
     ``n_reps`` replications (at least two, since the report is
     statistics); per replication the distance is the max over grid points
     of |simulated default rate - limit|.
@@ -99,6 +100,8 @@ def lln_experiment(
         raise ValueError("pool sizes must be >= 1")
     if limit is None:
         limit = solve_limit(measure, grid, tol=tol, max_iter=max_iter)
+    elif limit.grid != grid or limit.measure != measure:
+        raise ValueError("the supplied limit was solved for another grid or measure")
     f = limit.f
 
     cells = []

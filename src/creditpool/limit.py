@@ -16,6 +16,13 @@ time-convolutions on a shared uniform grid.  Atoms of one firm type share
 one Riccati solve, and a sweep convolves q with each distinct kernel once,
 through FFT spectra cached for the whole solve.
 
+:func:`solve_q` returns a :class:`LimitSolution`: q, F built from the
+last sweep's exponents E_a, and the per-atom E_a and slopes D_a.  dF/dt
+(:func:`f_derivative`), the effective contagion weight and the Simpson
+identity check read that solution and reuse its kernels instead of
+sweeping again.  :func:`compute_f` is the fresh evaluation of F at a
+given q.
+
 A second, independent route exists for single-class pools: iterate on F
 itself in the integral equation
 
@@ -63,6 +70,11 @@ def riccati_for_measure(
 class _AtomKernels:
     """Per-atom coefficients over one kernel row per distinct Riccati solution.
 
+    Rows are keyed by the identity of each solution object:
+    :func:`riccati_for_measure` shares one object per firm type, so atoms
+    of one type share a row, while two separately solved kernels (say a
+    closed-form and an RK4 one) keep a row each.
+
     Atom a, whose Riccati solution is (b, b_dot), has the exponent
     E_a = lam0_a b + conv(b, q + c_a) and its slope
     D_a = lam0_a b_dot + conv(b_dot, q + c_a), with c_a = alpha lambda_bar.
@@ -73,7 +85,7 @@ class _AtomKernels:
     def __init__(self, measure, riccati, grid):
         if len(riccati) != len(measure.atoms):
             raise ValueError("need exactly one Riccati solution per atom")
-        rows: dict[tuple[FirmType, str], int] = {}
+        rows: dict[int, int] = {}
         distinct = []
         row_of_atom = []
         for atom, ric in zip(measure.atoms, riccati):
@@ -81,11 +93,10 @@ class _AtomKernels:
                 raise ValueError("Riccati solutions must share the solver grid")
             if ric.firm_type != atom.firm_type:
                 raise ValueError("Riccati solution does not match its atom")
-            key = (ric.firm_type, ric.method)
-            if key not in rows:
-                rows[key] = len(distinct)
+            if id(ric) not in rows:
+                rows[id(ric)] = len(distinct)
                 distinct.append(ric)
-            row_of_atom.append(rows[key])
+            row_of_atom.append(rows[id(ric)])
         self.dt = grid.dt
         self.n_atoms = len(measure.atoms)
         self.weight = np.array([a.weight for a in measure.atoms])
@@ -130,19 +141,29 @@ class _AtomKernels:
 
 
 @dataclass(frozen=True)
-class PicardResult:
-    """Converged contagion forcing plus iteration metadata.
+class LimitSolution:
+    """Everything the limit solver produces for one measure and grid.
 
-    ``exponents`` and ``slopes`` are E and D (one row per atom) of the last
-    sweep, the sweep whose image is ``q``.
+    ``exponents`` and ``slopes`` are the per-atom E and D (one row per
+    atom) of the last Picard sweep, the sweep whose image is ``q``: atom a
+    survives with probability exp(-E_a), its surviving intensity mass is
+    D_a exp(-E_a), and F is built from them.
     """
 
+    measure: DiscreteTypeMeasure
+    riccati: tuple[RiccatiSolution, ...]
     q: Trajectory
+    f: Trajectory
     iterations: int
     residual: float
     residual_history: tuple[float, ...]
-    exponents: np.ndarray | None = field(default=None, compare=False, repr=False)
-    slopes: np.ndarray | None = field(default=None, compare=False, repr=False)
+    exponents: np.ndarray = field(compare=False, repr=False)
+    slopes: np.ndarray = field(compare=False, repr=False)
+    _kernels: _AtomKernels = field(compare=False, repr=False)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.q.grid
 
 
 def solve_q(
@@ -151,10 +172,11 @@ def solve_q(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> PicardResult:
+) -> LimitSolution:
     """Picard iteration for the contagion forcing, started from q = 0.
 
-    Stops when the sup-norm change of one sweep is <= tol.
+    Stops when the sup-norm change of one sweep is <= tol, and builds F
+    from that sweep's exponents.
 
     Raises :class:`NoConvergenceError` after ``max_iter`` sweeps, and
     :class:`NonFiniteResultError` if a sweep produces non-finite values or
@@ -168,7 +190,8 @@ def solve_q(
     history = []
     for iteration in range(1, max_iter + 1):
         E, D = kern.exponents_and_slopes(q)
-        q_new = contagion @ (D * np.exp(-E))
+        survival = np.exp(-E)
+        q_new = contagion @ (D * survival)
         if not np.all(np.isfinite(q_new)):
             raise NonFiniteResultError(
                 f"fixed-point sweep {iteration} produced non-finite forcing"
@@ -189,13 +212,17 @@ def solve_q(
         )
     if low < 0.0:
         q = np.where(q < 0.0, 0.0, q)  # round-off only: values in (-tol, 0)
-    return PicardResult(
+    return LimitSolution(
+        measure=measure,
+        riccati=tuple(riccati),
         q=Trajectory(grid, q),
+        f=Trajectory(grid, 1.0 - kern.weight @ survival),
         iterations=iteration,
         residual=residual,
         residual_history=tuple(history),
         exponents=_read_only(E),
         slopes=_read_only(D),
+        _kernels=kern,
     )
 
 
@@ -215,52 +242,40 @@ def compute_f(
     measure: DiscreteTypeMeasure,
     riccati: tuple[RiccatiSolution, ...],
     q: Trajectory,
-    exponents: np.ndarray | None = None,
 ) -> Trajectory:
     """Limit default rate F(t) = 1 - weighted sum of atom survival factors.
 
-    Given ``exponents`` (one row of E per atom, such as those
-    :func:`solve_q` keeps from its last sweep), F is built from them
-    instead of evaluating E at q again.
+    A fresh evaluation of the exponents at the given ``q``; a solved
+    :class:`LimitSolution` already carries F from its last sweep.
     """
-    if exponents is None:
-        exponents, _ = _AtomKernels(measure, riccati, q.grid).exponents_and_slopes(q.values)
-    weight = np.array([a.weight for a in measure.atoms])
-    return Trajectory(q.grid, 1.0 - weight @ np.exp(-exponents))
+    kern = _AtomKernels(measure, riccati, q.grid)
+    E, _ = kern.exponents_and_slopes(q.values)
+    return Trajectory(q.grid, 1.0 - kern.weight @ np.exp(-E))
 
 
-def f_derivative(
-    measure: DiscreteTypeMeasure,
-    riccati: tuple[RiccatiSolution, ...],
-    q: Trajectory,
-) -> Trajectory:
+def f_derivative(limit: LimitSolution) -> Trajectory:
     """dF/dt via the per-atom affine decomposition (no finite differences).
 
     Equals the first intensity moment of the surviving population in the
-    limit: sum_a w_a D_a exp(-E_a).
+    limit: sum_a w_a D_a exp(-E_a), read from the solution's last sweep.
     """
-    kern = _AtomKernels(measure, riccati, q.grid)
-    E, D = kern.exponents_and_slopes(q.values)
-    return Trajectory(q.grid, kern.weight @ (D * np.exp(-E)))
+    masses = limit.slopes * np.exp(-limit.exponents)
+    return Trajectory(limit.grid, limit._kernels.weight @ masses)
 
 
-def effective_contagion_weight(
-    measure: DiscreteTypeMeasure,
-    riccati: tuple[RiccatiSolution, ...],
-    q: Trajectory,
-    k: int,
-) -> float:
+def effective_contagion_weight(limit: LimitSolution, k: int) -> float:
     """Intensity-weighted average contagion sensitivity at grid index k.
 
     The average is over the *surviving* population in the limit, weighting
     each atom's sensitivity by its current intensity mass.  Lies between 0
-    and the largest atom sensitivity.  Raises
-    :class:`DegenerateMeasureError` when essentially no intensity mass
-    survives.
+    and the largest atom sensitivity.  Raises :class:`ValueError` for k
+    outside 0..n_steps and :class:`DegenerateMeasureError` when
+    essentially no intensity mass survives.
     """
-    kern = _AtomKernels(measure, riccati, q.grid)
-    E, D = kern.exponents_and_slopes(q.values)
-    masses = kern.weight * D[:, k] * np.exp(-E[:, k])
+    if not 0 <= k <= limit.grid.n_steps:
+        raise ValueError(f"grid index {k} outside 0..{limit.grid.n_steps}")
+    kern = limit._kernels
+    masses = kern.weight * limit.slopes[:, k] * np.exp(-limit.exponents[:, k])
     denom = float(masses.sum())
     if denom <= EXTINCTION_FLOOR:
         raise DegenerateMeasureError(
@@ -303,51 +318,14 @@ def solve_homogeneous_f(
     return Trajectory(grid, f)
 
 
-@dataclass(frozen=True)
-class LimitSolution:
-    """Everything the limit solver produces for one measure and grid.
-
-    ``exponents`` and ``slopes`` are the per-atom E and D of the last
-    Picard sweep: atom a survives with probability exp(-E_a), its
-    surviving intensity mass is D_a exp(-E_a), and F is built from them.
-    """
-
-    measure: DiscreteTypeMeasure
-    riccati: tuple[RiccatiSolution, ...]
-    q: Trajectory
-    f: Trajectory
-    iterations: int
-    residual: float
-    residual_history: tuple[float, ...] = ()
-    exponents: np.ndarray | None = field(default=None, compare=False, repr=False)
-    slopes: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.q.grid
-
-
 def solve_limit(
     measure: DiscreteTypeMeasure,
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LimitSolution:
-    """Full limit pipeline: Riccati per firm type, contagion fixed point, F."""
-    riccati = riccati_for_measure(measure, grid)
-    picard = solve_q(measure, riccati, grid, tol=tol, max_iter=max_iter)
-    f = compute_f(measure, riccati, picard.q, exponents=picard.exponents)
-    return LimitSolution(
-        measure=measure,
-        riccati=riccati,
-        q=picard.q,
-        f=f,
-        iterations=picard.iterations,
-        residual=picard.residual,
-        residual_history=picard.residual_history,
-        exponents=picard.exponents,
-        slopes=picard.slopes,
-    )
+    """Full limit pipeline: Riccati per firm type, then the contagion fixed point."""
+    return solve_q(measure, riccati_for_measure(measure, grid), grid, tol=tol, max_iter=max_iter)
 
 
 def contagion_identity_rhs(limit: LimitSolution) -> Trajectory:
@@ -361,7 +339,7 @@ def contagion_identity_rhs(limit: LimitSolution) -> Trajectory:
     Picard residual.  Raises :class:`DegenerateMeasureError` if the
     surviving intensity mass is extinct anywhere on the grid.
     """
-    kern = _AtomKernels(limit.measure, limit.riccati, limit.grid)
+    kern = limit._kernels
     E, D = kern.simpson_exponents_and_slopes(limit.q.values)
     masses = kern.weight[:, None] * D * np.exp(-E)
     denom = masses.sum(axis=0)

@@ -32,7 +32,6 @@ class RiccatiSolution:
     firm_type: FirmType
     b: Trajectory
     b_dot: Trajectory
-    method: str
 
     @property
     def grid(self) -> TimeGrid:
@@ -110,5 +109,4 @@ def solve_riccati(firm_type: FirmType, grid: TimeGrid, method: str = "closed_for
         firm_type=firm_type,
         b=Trajectory(grid, b),
         b_dot=Trajectory(grid, b_dot),
-        method=method,
     )

@@ -18,6 +18,7 @@ from creditpool import (
     reversion_speed_sweep,
     solve_limit,
 )
+from creditpool import convergence as convergence_module
 
 CONSTANT_INTENSITY = homogeneous_measure(FirmType(0.0, 0.0, 0.0, 0.0), 0.5)
 
@@ -64,6 +65,25 @@ class TestLlnExperiment:
             lln_experiment(CONSTANT_INTENSITY, factor, grid, [10], n_reps=1, seed=1)
         with pytest.raises(ValueError):
             lln_experiment(CONSTANT_INTENSITY, factor, grid, [0], n_reps=2, seed=1)
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("simulated before checking the supplied limit")
+
+        monkeypatch.setattr(convergence_module, "run_replications", fail)
+
+    def test_limit_for_another_measure_rejected(self, base_measure, factor, no_simulation):
+        grid = TimeGrid(1.0, 100)
+        other = solve_limit(CONSTANT_INTENSITY, grid)
+        with pytest.raises(ValueError, match="measure"):
+            lln_experiment(base_measure, factor, grid, [10], n_reps=2, seed=1, limit=other)
+
+    def test_limit_on_another_grid_rejected(self, base_measure, factor, no_simulation):
+        other = solve_limit(base_measure, TimeGrid(1.0, 200))
+        with pytest.raises(ValueError, match="grid"):
+            lln_experiment(base_measure, factor, TimeGrid(1.0, 100), [10], n_reps=2, seed=1,
+                           limit=other)
 
 
 class TestFigureSweep:

@@ -15,6 +15,7 @@ from creditpool import (
     f_derivative,
     homogeneous_measure,
     product_measure,
+    q_identity_diagnostic,
     riccati_for_measure,
     solve_homogeneous_f,
     solve_limit,
@@ -107,7 +108,7 @@ class TestComputeF:
     def test_slope_decomposition_matches_finite_differences(self, base_measure, grid_1k):
         riccati, picard = solve_pool(base_measure, grid_1k)
         f = compute_f(base_measure, riccati, picard.q)
-        slope = f_derivative(base_measure, riccati, picard.q)
+        slope = f_derivative(picard)
         dt = grid_1k.dt
         central = (f.values[2:] - f.values[:-2]) / (2.0 * dt)
         assert np.max(np.abs(slope.values[1:-1] - central)) < 1e-4
@@ -149,9 +150,9 @@ class TestHomogeneousRoute:
 
 class TestEffectiveContagionWeight:
     def test_homogeneous_equals_sensitivity(self, base_measure, grid_coarse):
-        riccati, picard = solve_pool(base_measure, grid_coarse)
+        _, picard = solve_pool(base_measure, grid_coarse)
         for k in (0, 100, 200):
-            b = effective_contagion_weight(base_measure, riccati, picard.q, k)
+            b = effective_contagion_weight(picard, k)
             assert b == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_two_atom_mixture(self, grid_coarse):
@@ -162,10 +163,8 @@ class TestEffectiveContagionWeight:
                 TypeAtom(FirmType(beta_c=2.0, **shared), 0.5, 0.5),
             )
         )
-        riccati, picard = solve_pool(m, grid_coarse)
-        assert effective_contagion_weight(m, riccati, picard.q, 0) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        _, picard = solve_pool(m, grid_coarse)
+        assert effective_contagion_weight(picard, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_by_max_sensitivity(self, grid_coarse):
         m = DiscreteTypeMeasure(
@@ -174,16 +173,24 @@ class TestEffectiveContagionWeight:
                 TypeAtom(FirmType(6.0, 0.8, 1.2, beta_c=3.0), 0.9, 0.7),
             )
         )
-        riccati, picard = solve_pool(m, grid_coarse)
+        _, picard = solve_pool(m, grid_coarse)
         for k in range(0, grid_coarse.n_points, 20):
-            b = effective_contagion_weight(m, riccati, picard.q, k)
+            b = effective_contagion_weight(picard, k)
             assert 0.0 <= b <= 3.0
 
     def test_degenerate_measure(self, grid_coarse):
         m = homogeneous_measure(FirmType(4.0, 0.0, 0.9, 2.0), 0.0)
-        riccati, picard = solve_pool(m, grid_coarse)
+        _, picard = solve_pool(m, grid_coarse)
         with pytest.raises(DegenerateMeasureError):
-            effective_contagion_weight(m, riccati, picard.q, 0)
+            effective_contagion_weight(picard, 0)
+
+    def test_grid_index_outside_the_grid(self, base_measure):
+        grid = TimeGrid(1.0, 100)
+        _, picard = solve_pool(base_measure, grid)
+        assert effective_contagion_weight(picard, grid.n_steps) == pytest.approx(2.0, abs=1e-12)
+        for k in (-1, grid.n_points):
+            with pytest.raises(ValueError, match="grid index"):
+                effective_contagion_weight(picard, k)
 
 
 class TestSolveLimit:
@@ -212,8 +219,11 @@ class TestSolveLimit:
         assert np.all(sol.f.values <= 1.0 + 1e-12)
 
 
-def per_atom_picard(measure, grid, tol):
-    """Reference Picard loop: one direct trapezoid convolution per atom and kernel."""
+def per_atom_picard(measure, grid, tol, riccati=None):
+    """Reference Picard loop: one direct trapezoid convolution per atom and kernel.
+
+    Uses the given Riccati solutions, or a closed-form solve per atom.
+    """
 
     def trap(h, g):
         n, dt = len(h), grid.dt
@@ -221,7 +231,8 @@ def per_atom_picard(measure, grid, tol):
         out[0] = 0.0
         return out
 
-    riccati = [solve_riccati(a.firm_type, grid) for a in measure.atoms]
+    if riccati is None:
+        riccati = [solve_riccati(a.firm_type, grid) for a in measure.atoms]
     q = np.zeros(grid.n_points)
     for _ in range(200):
         E, D = [], []
@@ -267,6 +278,38 @@ class TestBatchedKernel:
         assert len(riccati) == 6
         assert riccati[0] is riccati[1] and riccati[2] is riccati[3]
         assert riccati[1] is not riccati[2]
+
+    def test_kernel_rows_follow_solution_objects(self, grid_coarse):
+        # one firm type, two separately solved kernels: each keeps its own row
+        ft = FirmType(4.0, 0.5, 0.9, 2.0)
+        m = DiscreteTypeMeasure((TypeAtom(ft, 0.5, 0.5), TypeAtom(ft, 0.5, 0.5)))
+        riccati = (solve_riccati(ft, grid_coarse, "closed_form"),
+                   solve_riccati(ft, grid_coarse, "rk4"))
+        sol = solve_q(m, riccati, grid_coarse, tol=1e-12)
+        assert sol._kernels.kernels.shape == (4, grid_coarse.n_points)  # b, b_dot each
+        assert np.max(np.abs(sol.exponents[0] - sol.exponents[1])) > 1e-12
+        q_ref, E_ref, D_ref = per_atom_picard(m, grid_coarse, 1e-12, riccati)
+        assert np.max(np.abs(sol.q.values - q_ref)) <= 1e-13
+        assert np.max(np.abs(sol.exponents - E_ref)) <= 1e-13
+        assert np.max(np.abs(sol.slopes - D_ref)) <= 1e-13
+        # one object shared by both atoms is one row
+        shared = solve_q(m, (riccati[0], riccati[0]), grid_coarse, tol=1e-12)
+        assert shared._kernels.kernels.shape == (2, grid_coarse.n_points)
+
+    def test_one_solve_builds_one_kernel_object(self, two_by_three, grid_coarse, monkeypatch):
+        built = []
+        original = limit_module._AtomKernels
+
+        def counting(measure, riccati, grid):
+            built.append(measure)
+            return original(measure, riccati, grid)
+
+        monkeypatch.setattr(limit_module, "_AtomKernels", counting)
+        sol = solve_limit(two_by_three, grid_coarse)
+        q_identity_diagnostic(sol)
+        f_derivative(sol)
+        effective_contagion_weight(sol, grid_coarse.n_steps)
+        assert len(built) == 1
 
     def test_solution_keeps_exponents_of_its_last_sweep(self, two_by_three, grid_coarse):
         sol = solve_limit(two_by_three, grid_coarse)
