@@ -391,9 +391,11 @@ def _cmd_converge(run: RunConfig):
     report = lln_experiment(sim.measure, sim.factor, sim.grid, run.n_values, run.converge_reps,
                             seed=sim.seed, tol=run.tol, max_iter=run.max_iter)
     columns = [np.array([getattr(c, name) for c in report.cells])
-               for name in ("n_firms", "n_reps", "mean", "median", "q10", "q90", "seconds")]
-    header = ["N", "reps", "mean", "median", "q10", "q90", "seconds"]
+               for name in ("n_firms", "n_reps", "mean", "median", "q10", "q90")]
+    header = ["N", "reps", "mean", "median", "q10", "q90"]
     return [("convergence.csv", header, columns)], {
+        "timing": {"pool_seconds": [{"N": c.n_firms, "seconds": c.seconds}
+                                    for c in report.cells]},
         "rng_contract": RNG_CONTRACT,
         "solver_iterations": report.solver_iterations,
         "solver_residual": report.solver_residual,
@@ -443,8 +445,8 @@ def _run(command: str, config: dict, run: RunConfig, out: Path) -> None:
     """Compute, then write the command's CSV files and its manifest.
 
     ``timing.seconds`` is the computation and ``timing.write_seconds`` the
-    CSV writing.  A column object shared by several columns or files is
-    formatted once.
+    CSV writing; a command's own ``timing`` entries join them.  A column
+    object shared by several columns or files is formatted once.
     """
     started = time.perf_counter()
     tables, extra = _COMMANDS[command](run)
@@ -466,8 +468,8 @@ def _run(command: str, config: dict, run: RunConfig, out: Path) -> None:
         "seed": run.sim.seed,
         "config": config,
         "grid": {"t_end": grid.t_end, "n_steps": grid.n_steps, "dt": grid.dt},
-        "timing": {"seconds": seconds, "write_seconds": write_seconds},
         **extra,
+        "timing": {"seconds": seconds, "write_seconds": write_seconds, **extra.get("timing", {})},
     }
     with open(out / f"{command}_manifest.json", "w", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

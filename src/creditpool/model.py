@@ -17,6 +17,7 @@ constraints, reporting every violation at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,18 @@ DEFAULT_CAP = 100.0
 #: Absolute tolerance for "weights sum to one" checks.  Double-precision
 #: round-off scale for up to ~1e6 atoms.
 WEIGHT_TOL = 1e-12
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int: an integer, a numpy integer or an integral float
+    (``1e3``).  A bool or a non-integral value raises :class:`ValueError`
+    instead of being truncated."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +179,7 @@ class TimeGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", whole_number(self.n_steps, "n_steps"))
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be finite and > 0")
         if self.n_steps < 1:

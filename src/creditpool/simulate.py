@@ -13,22 +13,20 @@ the integrated intensity, and default detection at step ends with the
 whole batch of simultaneous defaults applied at once to every survivor.
 
 Batching: replications are stepped together.  The state of a batch is a
-set of flat arrays over its live ``(replication, firm)`` cells and one
-time step is one pass of numpy operations over them.
+dense grid, one ``(replications, N)`` array per quantity, and one time
+step is one pass of numpy operations over it.
 :func:`run_replications` cuts its replications into batches of
 ``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
-Normals are drawn by one helper thread into one of two buffers while the
-stepping reads the other.  A batch of C cells puts
+A defaulted firm's threshold becomes NaN, which no integrated intensity
+reaches; the firm keeps its cell and is stepped, unread, to the end of the
+run.  Normals are drawn by one helper thread into one of two buffers while
+the stepping reads the other.  A batch of C cells puts
 ``max(16, _CELL_BUDGET // C)`` steps in a buffer, at most ``n_steps``:
 1000 cells get 65 steps, and any batch of 4096 cells or more gets 16.
 The two buffers together therefore hold at most ``32 * _CELL_BUDGET``
 doubles (16 MB), or ``32 * N`` for a replication of more than
 ``_CELL_BUDGET`` firms, so memory is O(batch cells), not O(N * n_steps),
 while a small batch pays its per-buffer costs less often.
-A defaulted firm's threshold becomes NaN, which no integrated intensity
-reaches; at each buffer boundary the cells with NaN thresholds are dropped
-(compaction).  Within a block a firm that has defaulted is still
-stepped, but no output reads it.
 
 Reproducibility (``RNG_CONTRACT`` 3): replication r of seed s draws its
 firm noise from one SFC64 stream seeded by ``(s, r)``: N
@@ -37,8 +35,8 @@ in step order.  The step takes the drift as ``(lbar - lam+) * (alpha dt)``
 and the noise as ``sqrt(lam+) * (sigma sqrt(dt)) * Z``.  The shared
 factor and the sampled atom assignment have streams of their own under
 the same key.  A replication's output is therefore bit-identical however
-the replications are batched, and neither the helper thread, the buffer
-length nor compaction changes a bit; a firm's noise does depend on N.
+the replications are batched, and neither the helper thread nor the
+buffer length changes a bit; a firm's noise does depend on N.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from .model import (
     TimeGrid,
     Trajectory,
     validate_measure,
+    whole_number,
 )
 
 ASSIGNMENTS = ("proportional", "sampled")
@@ -72,11 +71,11 @@ _STREAM_ASSIGN = 2
 
 # Replications x firms stepped together.  Small pools share a batch, so
 # per-step interpreter overhead is paid once for many replications; the
-# cap bounds a batch's memory.  It also sizes the normals buffers (see the
-# module docstring): a small batch gets longer buffers, so it pays the
-# per-buffer costs (a handoff with the helper thread, one generator call
-# per replication, compaction) less often.  Compaction only shrinks the
-# per-cell state below this cap.  Part of no contract: a stream's draws
+# cap bounds a batch's memory, whose per-cell state keeps every firm,
+# defaulted or not, for the whole run.  It also sizes the normals buffers
+# (see the module docstring): a small batch gets longer buffers, so it pays
+# the per-buffer costs (a handoff with the helper thread, one generator
+# call per replication) less often.  Part of no contract: a stream's draws
 # do not depend on how they are blocked.
 _CELL_BUDGET = 1 << 16
 
@@ -94,8 +93,8 @@ class SimConfig:
     record_moments: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_firms", int(self.n_firms))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_firms", whole_number(self.n_firms, "n_firms"))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if self.n_firms < 1:
             raise ValueError("n_firms must be >= 1")
         if self.seed < 0:
@@ -214,7 +213,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     width = len(replications)
 
     atoms = config.measure.atoms
-    atom_idx = np.stack([_atom_assignment(config, r) for r in replications]).ravel()
+    atom_idx = np.stack([_atom_assignment(config, r) for r in replications])
 
     def per_cell(values) -> np.ndarray:
         return np.array(values, dtype=float)[atom_idx]
@@ -235,34 +234,25 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     factor_rngs = [np.random.default_rng(_seed_sequence(config.seed, r, _STREAM_FACTOR))
                    for r in replications] if factor_active else []
 
-    # One column per cell of the flattened (replication, firm) grid.  The
-    # first `live` columns are the cells still alive at the last buffer
-    # boundary, in (replication, firm) order; compaction moves them down in
-    # place.  Rows of `table`: alpha dt, lambda_bar, sigma sqrt(dt), beta_c,
-    # factor exposure, intensity, integrated intensity, threshold (NaN once
-    # the firm has defaulted).  Rows of `ids`: flat cell index, replication
-    # in the batch, offset of the cell's first normal in a buffer.
-    cells = width * n
-    block = min(max(16, _CELL_BUDGET // cells), n_steps)  # steps per normals buffer
-    cell = np.arange(cells)
-    table = np.stack([
-        per_cell([a.firm_type.alpha * dt for a in atoms]),
-        per_cell([a.firm_type.lambda_bar for a in atoms]),
-        per_cell([a.firm_type.sigma * sqdt for a in atoms]),
-        per_cell([a.firm_type.beta_c for a in atoms]),
-        eps * per_cell([a.firm_type.beta_s for a in atoms]),
-        per_cell([a.lambda_init for a in atoms]),
-        np.zeros(cells),
-        np.concatenate([g.standard_exponential(n) for g in firm_rngs]),
-    ])
-    ids = np.stack([cell, cell // n, cell // n * (block * n) + cell % n])
-    live = cells
-    hit = np.empty(live, dtype=bool)
-    work = np.empty((5, live))
+    # One (width, N) array per quantity, replication by firm, for the whole
+    # run.  A defaulted firm's threshold is NaN, which no integrated
+    # intensity reaches; the firm is still stepped, but no output reads it.
+    shape = (width, n)
+    alpha_dt = per_cell([a.firm_type.alpha * dt for a in atoms])
+    lbar = per_cell([a.firm_type.lambda_bar for a in atoms])
+    sigma_sqdt = per_cell([a.firm_type.sigma * sqdt for a in atoms])
+    beta_c = per_cell([a.firm_type.beta_c for a in atoms])
+    exposure = eps * per_cell([a.firm_type.beta_s for a in atoms])
+    lam = per_cell([a.lambda_init for a in atoms])
+    integrated = np.zeros(shape)
+    thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
+    lam_plus, next_plus, incr, term = np.empty((4, width, n))
+    hit = np.empty(shape, dtype=bool)
 
     # Two buffers of `block` steps each: the helper thread draws the next
     # block into one while this thread steps through the other,
     # replication-major so each stream fills a contiguous run.
+    block = min(max(16, _CELL_BUDGET // (width * n)), n_steps)
     normals = np.empty((2, width, block, n))
     factor_normals = np.empty((2, width, block))
 
@@ -274,42 +264,26 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             g.standard_normal(count, out=out[:count])
 
     counts = np.zeros((width, n_steps + 1), dtype=np.int64)  # defaults per step
-    default_times = np.full(cells, np.nan)
+    default_times = np.full(shape, np.nan)
     if config.record_moments:
         # every firm's latest intensity; a defaulted firm's stays frozen
-        frozen = table[5].copy()
+        frozen = lam.copy()
         m1 = np.empty((width, n_steps + 1))
         m2 = np.empty((width, n_steps + 1))
 
         def record(k: int) -> None:
-            pos = np.maximum(frozen.reshape(width, n), 0.0)
+            pos = np.maximum(frozen, 0.0)
             m1[:, k] = pos.mean(axis=1)
             m2[:, k] = np.mean(pos * pos, axis=1)
 
     n_blocks = -(-n_steps // block)
-    compact = False  # a cell defaulted since the last compaction
     with _Prefetch(draw, n_blocks) as prefetch, np.errstate(over="ignore", invalid="ignore"):
         if config.record_moments:
             record(0)
+        np.maximum(lam, 0.0, out=lam_plus)
         for i in range(n_blocks):
             prefetch.next()
             start, buf = i * block, i % 2
-
-            # Drop the cells that defaulted in the previous block.  Within a
-            # block a defaulted cell is still stepped, but nothing reads it:
-            # its NaN threshold keeps it out of detection.
-            if compact:
-                keep = np.flatnonzero(table[7, :live] == table[7, :live])
-                live = len(keep)
-                for row in (*table, *ids):
-                    row[:live] = row[keep]
-                compact = False
-            alpha_dt, lbar, sigma_sqdt, beta_c, exposure, lam, integrated, thresholds = table[:, :live]
-            cell, rep, offset = ids[:, :live]
-            hit = hit[:live]
-            lam_plus, next_plus, incr, term, scratch = work[:, :live]
-            flat_normals = normals[buf].reshape(-1)
-            np.maximum(lam, 0.0, out=lam_plus)
 
             # One step, in place:  with lam+ = max(lam, 0),
             #   lam += (lbar - lam+) (alpha dt) + sqrt(lam+) (sigma sqrt(dt)) Z
@@ -324,22 +298,22 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 incr *= alpha_dt
                 np.sqrt(lam_plus, out=term)
                 term *= sigma_sqdt
-                term *= flat_normals[j * n:].take(offset, out=scratch, mode="clip")
+                term *= normals[buf, :, j]
                 incr += term
                 if factor_active:
                     x_new = x * ou_decay + ou_scale * factor_normals[buf, :, j]
                     dx = x_new - x
                     x = x_new
                     np.multiply(exposure, lam_plus, out=term)
-                    term *= dx.take(rep, out=scratch, mode="clip")
+                    term *= dx[:, None]
                     incr += term
                 lam += incr
                 # any NaN or inf makes the sum non-finite; an overflowing sum
                 # of finite values only costs a search that finds nothing
-                if not math.isfinite(np.add.reduce(lam)):
+                if not math.isfinite(np.add.reduce(lam, axis=None)):
                     bad = np.flatnonzero((thresholds == thresholds) & ~np.isfinite(lam))
                     if bad.size:
-                        r, firm = divmod(int(cell[bad[0]]), n)
+                        r, firm = divmod(int(bad[0]), n)
                         raise NonFiniteStateError(replications[r], firm, k + 1)
                 np.maximum(lam, 0.0, out=next_plus)
                 np.add(next_plus, lam_plus, out=term)
@@ -348,26 +322,23 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 lam_plus, next_plus = next_plus, lam_plus
 
                 np.greater_equal(integrated, thresholds, out=hit)
-                newly = hit.nonzero()[0]
+                newly = hit.ravel().nonzero()[0]  # np.flatnonzero, minus its call overhead
                 if newly.size:
-                    d = np.bincount(rep[newly], minlength=width)
-                    thresholds[newly] = np.nan
-                    default_times[cell[newly]] = (k + 1) * dt
+                    d = np.bincount(newly // n, minlength=width)
                     counts[:, k + 1] = d
-                    compact = True
+                    thresholds.flat[newly] = np.nan
+                    default_times.flat[newly] = (k + 1) * dt
                     if config.record_moments:
-                        frozen[cell[newly]] = lam[newly]
+                        frozen.flat[newly] = lam.flat[newly]
                     # one batched jump: d defaults each contribute beta_c / N
-                    # (defaulted cells jump too, but nothing reads them)
-                    jump = d.astype(float).take(rep, out=scratch, mode="clip")
-                    jump *= beta_c
-                    jump /= n
-                    lam += jump
+                    # (defaulted firms jump too, but nothing reads them)
+                    np.multiply(d[:, None], beta_c, out=term)
+                    term /= n
+                    lam += term
                     np.maximum(lam, 0.0, out=lam_plus)
 
                 if config.record_moments:
-                    alive = thresholds == thresholds
-                    frozen[cell[alive]] = lam[alive]
+                    np.copyto(frozen, lam, where=thresholds == thresholds)
                     record(k + 1)
 
     if config.record_moments:
@@ -377,7 +348,6 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             raise NonFiniteStateError(replications[i], None, step)
 
     l_path = np.cumsum(counts, axis=1) / n
-    default_times = default_times.reshape(width, n)
     results = []
     for i, r in enumerate(replications):
         moments = None
@@ -421,6 +391,7 @@ def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
     Replications are stepped in batches of ``max(1, _CELL_BUDGET // N)``;
     each one's output is the same as :func:`simulate` gives it alone.
     """
+    n_reps = whole_number(n_reps, "n_reps")
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     validate_measure(config.measure, cap=math.inf)  # signs and weight sum

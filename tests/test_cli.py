@@ -255,12 +255,23 @@ class TestConvergeCommand:
         )
         assert code == 0
         header, rows = read_csv(tmp_path / "convergence.csv")
-        assert header == ["N", "reps", "mean", "median", "q10", "q90", "seconds"]
+        assert header == ["N", "reps", "mean", "median", "q10", "q90"]
         assert column(header, rows, "N", int) == [40, 160]
         manifest = json.loads((tmp_path / "converge_manifest.json").read_text())
+        pools = manifest["timing"]["pool_seconds"]
+        assert [p["N"] for p in pools] == [40, 160] and all(p["seconds"] >= 0.0 for p in pools)
         assert manifest["solver_residual"] <= 1e-10
         assert "median_violations" in manifest
         assert manifest["rng_contract"] == 3
+
+    def test_rerun_identical_bytes(self, tmp_path):
+        # wall-clock time goes to the manifest, never to the data file
+        args = ["--set", "converge.n_values=[20,40]", "--set", "converge.n_reps=2",
+                "--set", "grid.n_steps=50"]
+        out1, out2 = tmp_path / "c1", tmp_path / "c2"
+        assert main(["converge", "--out", str(out1), *args]) == 0
+        assert main(["converge", "--out", str(out2), *args]) == 0
+        assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
 
     @pytest.mark.parametrize("override", [
         "converge.n_reps=1",

@@ -4,8 +4,11 @@ import pytest
 from creditpool import (
     DegenerateMeasureError,
     DiscreteTypeMeasure,
+    EpsSchedule,
     FirmType,
+    SimConfig,
     SweepSpec,
+    SystematicFactorConfig,
     TimeGrid,
     TypeAtom,
     ValidationError,
@@ -16,9 +19,12 @@ from creditpool import (
     q_identity_diagnostic,
     reversion_level_sweep,
     reversion_speed_sweep,
+    run_replications,
     solve_limit,
 )
 from creditpool import convergence as convergence_module
+
+from conftest import BASE, BASE_LAMBDA_INIT
 
 CONSTANT_INTENSITY = homogeneous_measure(FirmType(0.0, 0.0, 0.0, 0.0), 0.5)
 
@@ -84,6 +90,43 @@ class TestLlnExperiment:
         with pytest.raises(ValueError, match="grid"):
             lln_experiment(base_measure, factor, TimeGrid(1.0, 100), [10], n_reps=2, seed=1,
                            limit=other)
+
+
+class TestSimulatorScaling:
+    """README claims about the simulator's error, each at a seed and a bound
+    fixed before the test first ran.  A failure means the simulator is
+    wrong, not that the seed was unlucky."""
+
+    SEED = 20260810
+
+    def test_default_batching_error_is_first_order(self):
+        # sigma = 0 and no factor leave only threshold noise, so at N = 5e4
+        # the mean of L(T) is far more precise than the O(dt) gap left by
+        # batching each step's defaults into one contagion jump.  F(T) comes
+        # from a fine grid, which keeps the limit's own O(dt^2) error out.
+        measure = homogeneous_measure(FirmType(4.0, 0.5, 0.0, 2.0), 0.5)
+        factor = SystematicFactorConfig(eps=EpsSchedule("zero"))
+        f_end = solve_limit(measure, TimeGrid(1.0, 4096)).f.values[-1]
+        gaps = []
+        for n_steps in (8, 16, 32):
+            config = SimConfig(n_firms=50_000, measure=measure, factor=factor,
+                               grid=TimeGrid(1.0, n_steps), seed=self.SEED)
+            gaps.append(run_replications(config, 2).mean.values[-1] - f_end)
+        ratios = [fine / coarse for coarse, fine in zip(gaps, gaps[1:])]
+        assert all(0.35 <= r <= 0.75 for r in ratios), (gaps, ratios)
+
+    def test_fluctuations_scale_as_inverse_sqrt_pool_size(self, factor):
+        # sqrt(N) std(L_N(T)) across replications has a Gaussian limit
+        # (Spiliopoulos, Sirignano & Giesecke 2014), so it is flat in N; noise
+        # correlated across firms would make it grow with N
+        measure = homogeneous_measure(BASE, BASE_LAMBDA_INIT)
+        scaled = []
+        for n_firms in (500, 8000):
+            config = SimConfig(n_firms=n_firms, measure=measure, factor=factor,
+                               grid=TimeGrid(1.0, 50), seed=self.SEED)
+            finals = [r.l_path.values[-1] for r in run_replications(config, 60).results]
+            scaled.append(np.sqrt(n_firms) * np.std(finals, ddof=1))
+        assert 0.6 <= scaled[1] / scaled[0] <= 1.6, scaled
 
 
 class TestFigureSweep:

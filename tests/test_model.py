@@ -141,10 +141,16 @@ class TestTimeGrid:
         g = TimeGrid(1.0, 100).refine()
         assert g.n_steps == 200 and g.t_end == 1.0
 
-    @pytest.mark.parametrize("t_end,n_steps", [(0.0, 10), (-1.0, 10), (1.0, 0)])
+    @pytest.mark.parametrize("t_end,n_steps", [(0.0, 10), (-1.0, 10), (1.0, 0),
+                                               (1.0, 2.5), (1.0, True), (1.0, math.nan)])
     def test_invalid(self, t_end, n_steps):
         with pytest.raises(ValueError):
             TimeGrid(t_end, n_steps)
+
+    @pytest.mark.parametrize("n_steps", [1e3, np.int64(1000), np.float64(1000.0)])
+    def test_integral_step_counts_accepted(self, n_steps):
+        g = TimeGrid(1.0, n_steps)
+        assert g.n_steps == 1000 and type(g.n_steps) is int
 
 
 class TestTrajectory:

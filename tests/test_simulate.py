@@ -354,6 +354,12 @@ class TestAssignment:
             make_config(seed=-1)
         with pytest.raises(ValueError):
             make_config(assignment="alphabetical")
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_config(n_firms=10.9, seed=3)  # not truncated to 10 firms
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_config(seed=3.7)
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_replications(make_config(), True)  # not one replication
         with pytest.raises(ValueError):
             run_replications(make_config(), 0)
 
@@ -363,7 +369,8 @@ def reference_batch(config, replications):
     defaulted firms masked out, and one normal draw per step.
 
     Returns ``(l_path, default_times, m1, m2)`` as ``(replications, ...)``
-    arrays.  The oracle for the compacted, prefetching kernel, and the
+    arrays.  The oracle for the prefetching kernel, which steps defaulted
+    firms too but reads nothing of theirs, and the
     written form of RNG contract 3: one SFC64 stream per replication for
     the firms (N thresholds, then N normals per step), the drift
     ``(lbar - lam+) * (alpha dt)`` and the noise
@@ -467,7 +474,8 @@ class TestReferenceKernel:
             FirmType(4.0, 2.0, 0.9, 1.3), 2.0)),
         "sampled": dict(n_firms=60, measure=TWO_ATOMS, assignment="sampled"),
         "single-firm": dict(n_firms=1, measure=homogeneous_measure(BASE, 3.0)),
-        # every firm defaults long before t_end: the live set empties
+        # every firm defaults long before t_end, and the rest of the run
+        # steps defaulted firms only
         "all-default": dict(n_firms=40, measure=homogeneous_measure(
             FirmType(1.0, 20.0, 0.9, 2.0), 20.0)),
     }
@@ -520,8 +528,9 @@ class TestReferenceKernel:
         config = make_config(n_firms=N_NONFINITE, measure=NONFINITE_MEASURE,
                              grid=TimeGrid(10.0, 40), seed=18)
         # 16-step buffers for the one batch of 3 x 12 cells; replication 0
-        # loses firms before the first buffer boundary, so replication 1's
-        # cells sit at shifted places in the live arrays
+        # loses firms before the first buffer boundary, and its defaulted
+        # cells are still stepped: the error names a live cell by its place
+        # in the (replication, firm) grid
         monkeypatch.setattr(simulate_module, "_CELL_BUDGET", 16 * 3 * N_NONFINITE)
         _, default_times, _, _ = reference_batch(config, range(1))
         assert np.sum(default_times <= 16 * config.grid.dt) >= 1
