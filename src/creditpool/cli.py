@@ -57,6 +57,7 @@ from .model import (
     TimeGrid,
     TypeAtom,
     validate_measure,
+    whole_number,
 )
 from .simulate import RNG_CONTRACT, SimConfig, moment_diagnostic, run_replications
 
@@ -112,9 +113,12 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def _overlay(old, new, where: str):
-    """``new`` in place of ``old``; an object section takes only an object, merged into it."""
+    """``new`` in place of ``old``; an object section takes only an object, merged into it.
+
+    ``new`` is freshly parsed JSON that nothing else holds, so it is not copied.
+    """
     if not isinstance(old, dict):
-        return copy.deepcopy(new)
+        return new
     if not isinstance(new, dict):
         raise ConfigError(f"{where} must be an object, got {new!r}")
     return _deep_merge(old, new, where)
@@ -128,6 +132,8 @@ def _parse_set(expr: str) -> tuple[list[str], object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:  # valid so far, but too deep to parse: not a raw string
+        raise ConfigError(f"--set {key}=...: the JSON value is nested too deeply") from None
     return key.split("."), value
 
 
@@ -164,13 +170,13 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+            loaded = json.loads(p.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        if isinstance(loaded, dict) and "command" in loaded and "config" in loaded:
+            loaded = loaded["config"]  # accept a manifest as a config
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
-        if "command" in loaded and "config" in loaded:
-            loaded = loaded["config"]  # accept a manifest as a config
         config = _deep_merge(config, loaded)
     for expr in sets:
         segments, value = _parse_set(expr)
@@ -192,15 +198,6 @@ def _number(value, where: str) -> float:
         raise ConfigError(f"{where} is out of range, got {value!r}") from None
 
 
-def _integer(value, where: str) -> int:
-    """A JSON integer, or a float with an integral value (1e3); nothing else."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 # Ceiling of every size field (steps, firms, replications, pool sizes): far
 # beyond any run that fits in memory, and low enough that no array shape
 # or loop count built from it overflows.
@@ -208,16 +205,16 @@ MAX_SIZE = 2**31 - 1
 
 
 def _size(value, where: str) -> int:
-    """An integer (see :func:`_integer`) no larger than :data:`MAX_SIZE`."""
-    n = _integer(value, where)
+    """An integer (see :func:`whole_number`) no larger than :data:`MAX_SIZE`."""
+    n = whole_number(value, where)
     if n > MAX_SIZE:
         raise ConfigError(f"{where} must be <= {MAX_SIZE}, got {value!r}")
     return n
 
 
 # One builder per section.  Each raises ConfigError for a field it checks
-# itself; the domain constructors raise ValueError or ValidationError for
-# the rules they own.
+# itself (ValueError from whole_number); the domain constructors raise
+# ValueError or ValidationError for the rules they own.
 
 
 def _measure(section: dict) -> DiscreteTypeMeasure:
@@ -269,7 +266,7 @@ def _solver(section: dict) -> tuple[float, int]:
     tol = _number(section["tol"], "solver.tol")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"solver.tol must be finite and > 0, got {tol!r}")
-    max_iter = _integer(section["max_iter"], "solver.max_iter")
+    max_iter = whole_number(section["max_iter"], "solver.max_iter")
     if max_iter < 1:
         raise ConfigError("solver.max_iter must be >= 1")
     return tol, max_iter
@@ -288,7 +285,7 @@ def _sim(section: dict, measure, factor, grid) -> tuple[SimConfig, int]:
         measure=measure,
         factor=factor,
         grid=grid,
-        seed=_integer(section["seed"], "sim.seed"),
+        seed=whole_number(section["seed"], "sim.seed"),
         assignment=section["assignment"],
         record_moments=section["record_moments"],
     )

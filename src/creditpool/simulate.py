@@ -19,8 +19,8 @@ step is one pass of numpy operations over it.
 ``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
 A defaulted firm's threshold becomes NaN, which no integrated intensity
 reaches; the firm keeps its cell and is stepped, unread, to the end of the
-run.  Normals are drawn by one helper thread into one of two buffers while
-the stepping reads the other.  A batch of C cells puts
+run.  A one-worker thread-pool executor draws the normals into one of two
+buffers while the stepping reads the other.  A batch of C cells puts
 ``max(16, _CELL_BUDGET // C)`` steps in a buffer, at most ``n_steps``:
 1000 cells get 65 steps, and any batch of 4096 cells or more gets 16.
 The two buffers together therefore hold at most ``32 * _CELL_BUDGET``
@@ -42,7 +42,7 @@ buffer length changes a bit; a firm's noise does depend on N.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +74,9 @@ _STREAM_ASSIGN = 2
 # cap bounds a batch's memory, whose per-cell state keeps every firm,
 # defaulted or not, for the whole run.  It also sizes the normals buffers
 # (see the module docstring): a small batch gets longer buffers, so it pays
-# the per-buffer costs (a handoff with the helper thread, one generator
-# call per replication) less often.  Part of no contract: a stream's draws
-# do not depend on how they are blocked.
+# the per-buffer costs (a task for the one-worker executor that draws the
+# normals, one generator call per replication) less often.  Part of no
+# contract: a stream's draws do not depend on how they are blocked.
 _CELL_BUDGET = 1 << 16
 
 
@@ -147,55 +147,6 @@ def _atom_assignment(config: SimConfig, replication: int) -> np.ndarray:
     return rng.choice(len(weights), size=config.n_firms, p=weights / weights.sum())
 
 
-class _Prefetch:
-    """Run ``fill(0)``, ``fill(1)``, ... on one helper thread, one ahead.
-
-    Double buffering: ``fill(i)`` writes buffer ``i % 2``.  Each call of
-    :meth:`next` waits for the next fill and frees the buffer read before
-    it, so the helper fills block i + 1 while the caller reads block i.
-    An exception raised by ``fill`` is raised again by :meth:`next`;
-    leaving the ``with`` block stops the helper and joins it.
-    """
-
-    def __init__(self, fill, count: int):
-        self._fill = fill
-        self._count = count
-        self._free = threading.Semaphore(2)  # buffers the helper may fill
-        self._filled = threading.Semaphore(0)  # filled buffers not yet read
-        self._read = 0
-        self._stop = False
-        self._error: Exception | None = None
-        self._thread = threading.Thread(target=self._run, name="creditpool-normals")
-
-    def __enter__(self) -> _Prefetch:
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()  # wakes a helper waiting for a buffer
-        self._thread.join()
-
-    def _run(self) -> None:
-        for i in range(self._count):
-            self._free.acquire()
-            if self._stop or self._error is not None:
-                return
-            try:
-                self._fill(i)
-            except Exception as exc:  # raised again on the caller's thread
-                self._error = exc
-            self._filled.release()
-
-    def next(self) -> None:
-        if self._read:
-            self._free.release()
-        self._read += 1
-        self._filled.acquire()
-        if self._error is not None:
-            raise self._error
-
-
 def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     """Step the given replications together; one result per replication.
 
@@ -249,8 +200,8 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     lam_plus, next_plus, incr, term = np.empty((4, width, n))
     hit = np.empty(shape, dtype=bool)
 
-    # Two buffers of `block` steps each: the helper thread draws the next
-    # block into one while this thread steps through the other,
+    # Two buffers of `block` steps each: the executor's one thread draws
+    # the next block into one while this thread steps through the other,
     # replication-major so each stream fills a contiguous run.
     block = min(max(16, _CELL_BUDGET // (width * n)), n_steps)
     normals = np.empty((2, width, block, n))
@@ -277,12 +228,18 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             m2[:, k] = np.mean(pos * pos, axis=1)
 
     n_blocks = -(-n_steps // block)
-    with _Prefetch(draw, n_blocks) as prefetch, np.errstate(over="ignore", invalid="ignore"):
+    # draw(i + 1) refills the buffer block i - 1 read, so it is submitted
+    # only once that block is stepped; leaving the `with` waits for it
+    with (ThreadPoolExecutor(1, "creditpool-normals") as helper,
+          np.errstate(over="ignore", invalid="ignore")):
+        drawn = helper.submit(draw, 0)
         if config.record_moments:
             record(0)
         np.maximum(lam, 0.0, out=lam_plus)
         for i in range(n_blocks):
-            prefetch.next()
+            drawn.result()  # raises here what draw raised on the helper
+            if i + 1 < n_blocks:
+                drawn = helper.submit(draw, i + 1)
             start, buf = i * block, i % 2
 
             # One step, in place:  with lam+ = max(lam, 0),

@@ -364,6 +364,36 @@ def test_error_names_every_broken_section(tmp_path, capsys):
     assert "measure.atoms[0].firm_type.sigma" in err and "converge.n_values" in err
 
 
+DEEP_LIST = b"[" * 500 + b"]" * 500  # parses, but copying it recursed too deep
+
+
+@pytest.mark.parametrize("content, named", [
+    pytest.param(b"{not json", "cfg.json", id="not-json"),
+    pytest.param(b"\xff\xfe{", "cfg.json", id="not-utf8"),
+    pytest.param(b"[" * 100_000, "cfg.json", id="nested-past-the-parser"),
+    pytest.param(b'{"grid": {"n_steps": ' + DEEP_LIST + b"}}", "grid.n_steps",
+                 id="nested-past-a-copy"),
+    pytest.param(b"[1, 2]", "cfg.json", id="not-an-object"),
+    pytest.param(b'{"command": "limit", "config": 5}', "cfg.json", id="manifest-config-5"),
+])
+def test_malformed_config_file_exit_code(tmp_path, capsys, content, named):
+    # all but not-json and not-an-object escaped with a traceback, exit 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["limit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, named", [
+    pytest.param("[" * 100_000, "--set grid.n_steps=", id="nested-past-the-parser"),
+    pytest.param(DEEP_LIST.decode(), "grid.n_steps", id="nested-past-a-copy"),
+])
+def test_deeply_nested_set_value_exit_code(tmp_path, capsys, value, named):
+    # too deep to parse is an error, not a raw string; both escaped, exit 1
+    assert main(["limit", "--out", str(tmp_path), "--set", f"grid.n_steps={value}"]) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", ["NaN", "Infinity", "-1"])
 def test_cap_must_be_finite_and_positive(tmp_path, capsys, cap):
     # NaN turned every cap check off and ran; -1 reported a CAP_EXCEEDED per field

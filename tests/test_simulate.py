@@ -56,12 +56,18 @@ def count_buffers(monkeypatch) -> list[int]:
     """The number of normals buffers each batch fills, appended batch by batch."""
     seen = []
 
-    class Spy(simulate_module._Prefetch):
-        def __init__(self, fill, count):
-            seen.append(count)
-            super().__init__(fill, count)
+    class Spy(simulate_module.ThreadPoolExecutor):
+        # each batch opens one executor and submits one draw per buffer
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.slot = len(seen)
+            seen.append(0)
 
-    monkeypatch.setattr(simulate_module, "_Prefetch", Spy)
+        def submit(self, *args, **kwargs):
+            seen[self.slot] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", Spy)
     return seen
 
 
