@@ -11,18 +11,13 @@ __version__ = "0.1.0"
 from .convergence import (
     ConvergenceCell,
     ConvergenceReport,
-    SweepSpec,
-    contagion_sweep,
     figure_sweep,
     lln_experiment,
     q_identity_diagnostic,
-    reversion_level_sweep,
-    reversion_speed_sweep,
 )
 from .errors import (
     ConfigError,
     CreditPoolError,
-    DegenerateMeasureError,
     MomentsNotRecordedError,
     NoConvergenceError,
     NonFiniteResultError,
@@ -32,7 +27,6 @@ from .errors import (
 from .limit import (
     LimitSolution,
     compute_f,
-    effective_contagion_weight,
     f_derivative,
     riccati_for_measure,
     solve_homogeneous_f,
@@ -72,16 +66,14 @@ __all__ = [
     # riccati / limit
     "RiccatiSolution", "solve_riccati", "saturation_level", "riccati_for_measure",
     "LimitSolution", "solve_q", "compute_f", "f_derivative",
-    "effective_contagion_weight", "solve_homogeneous_f", "solve_limit",
+    "solve_homogeneous_f", "solve_limit",
     # simulation
     "SimConfig", "SimResult", "ReplicationSet",
     "simulate", "run_replications", "moment_diagnostic", "proportional_counts",
     # convergence lab
-    "ConvergenceCell", "ConvergenceReport", "SweepSpec", "lln_experiment",
+    "ConvergenceCell", "ConvergenceReport", "lln_experiment",
     "figure_sweep", "q_identity_diagnostic",
-    "contagion_sweep", "reversion_speed_sweep", "reversion_level_sweep",
     # errors
     "CreditPoolError", "ValidationError", "ConfigError", "NoConvergenceError",
-    "NonFiniteResultError", "NonFiniteStateError", "DegenerateMeasureError",
-    "MomentsNotRecordedError",
+    "NonFiniteResultError", "NonFiniteStateError", "MomentsNotRecordedError",
 ]

@@ -32,13 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convergence import (
-    contagion_sweep,
-    figure_sweep,
-    lln_experiment,
-    reversion_level_sweep,
-    reversion_speed_sweep,
-)
+from .convergence import figure_sweep, lln_experiment
 from .errors import (
     ConfigError,
     CreditPoolError,
@@ -47,6 +41,7 @@ from .errors import (
     NonFiniteStateError,
     ValidationError,
     Violation,
+    bounded_repr,
 )
 from .limit import solve_limit
 from .model import (
@@ -120,13 +115,13 @@ def _overlay(old, new, where: str):
     if not isinstance(old, dict):
         return new
     if not isinstance(new, dict):
-        raise ConfigError(f"{where} must be an object, got {new!r}")
+        raise ConfigError(f"{where} must be an object, got {bounded_repr(new)}")
     return _deep_merge(old, new, where)
 
 
 def _parse_set(expr: str) -> tuple[list[str], object]:
     if "=" not in expr:
-        raise ConfigError(f"--set expects key=value, got {expr!r}")
+        raise ConfigError(f"--set expects key=value, got {bounded_repr(expr)}")
     key, raw = expr.split("=", 1)
     try:
         value = json.loads(raw)
@@ -146,20 +141,23 @@ def _apply_set(config: dict, segments: list[str], value, expr: str) -> None:
                 idx = int(seg)
                 node[idx]  # noqa: B018 - bounds check
             except (ValueError, IndexError):
-                raise ConfigError(f"bad list index {seg!r} in --set {expr!r}") from None
+                raise ConfigError(f"bad list index {bounded_repr(seg)} "
+                                  f"in --set {bounded_repr(expr)}") from None
             if last:
                 node[idx] = value
             else:
                 node = node[idx]
         elif isinstance(node, dict):
             if seg not in node:
-                raise ConfigError(f"unknown config key {seg!r} in --set {expr!r}")
+                raise ConfigError(f"unknown config key {bounded_repr(seg)} "
+                                  f"in --set {bounded_repr(expr)}")
             if last:
                 node[seg] = _overlay(node[seg], value, ".".join(segments))
             else:
                 node = node[seg]
         else:
-            raise ConfigError(f"cannot descend into scalar at {seg!r} in --set {expr!r}")
+            raise ConfigError(f"cannot descend into scalar at {bounded_repr(seg)} "
+                              f"in --set {bounded_repr(expr)}")
 
 
 def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
@@ -191,11 +189,11 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
 def _number(value, where: str) -> float:
     """A JSON number as a float; never a boolean (float() reads it as 0 or 1) or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+        raise ConfigError(f"{where} must be a number, got {bounded_repr(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the double range
-        raise ConfigError(f"{where} is out of range, got {value!r}") from None
+        raise ConfigError(f"{where} is out of range, got {bounded_repr(value)}") from None
 
 
 # Ceiling of every size field (steps, firms, replications, pool sizes): far
@@ -208,7 +206,7 @@ def _size(value, where: str) -> int:
     """An integer (see :func:`whole_number`) no larger than :data:`MAX_SIZE`."""
     n = whole_number(value, where)
     if n > MAX_SIZE:
-        raise ConfigError(f"{where} must be <= {MAX_SIZE}, got {value!r}")
+        raise ConfigError(f"{where} must be <= {MAX_SIZE}, got {bounded_repr(value)}")
     return n
 
 
@@ -222,14 +220,16 @@ def _measure(section: dict) -> DiscreteTypeMeasure:
     if not (cap > 0.0 and math.isfinite(cap)):
         raise ConfigError(f"measure.cap must be finite and > 0, got {cap!r}")
     if not isinstance(section["atoms"], list):
-        raise ConfigError(f"measure.atoms must be a list of objects, got {section['atoms']!r}")
+        raise ConfigError("measure.atoms must be a list of objects, "
+                          f"got {bounded_repr(section['atoms'])}")
     atoms = []
     for i, entry in enumerate(section["atoms"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"measure.atoms[{i}] must be an object")
         unknown = set(entry) - _ATOM_KEYS
         if unknown:
-            raise ConfigError(f"measure.atoms[{i}] has unknown keys: {sorted(unknown)}")
+            raise ConfigError(f"measure.atoms[{i}] has unknown keys: "
+                              f"{bounded_repr(sorted(unknown))}")
         fields = {key: _number(value, f"measure.atoms[{i}].{key}")
                   for key, value in entry.items()}
         atoms.append(
@@ -400,18 +400,19 @@ def _cmd_converge(run: RunConfig):
     }
 
 
+#: (file name, swept FirmType field, values) of each curve family
 _FIGURE_FILES = (
-    ("fig1_betaC.csv", contagion_sweep),
-    ("fig2_alpha.csv", reversion_speed_sweep),
-    ("fig3_lambdabar.csv", reversion_level_sweep),
+    ("fig1_betaC.csv", "beta_c", (0.0, 1.0, 2.0, 4.0)),
+    ("fig2_alpha.csv", "alpha", (2.0, 4.0, 8.0)),
+    ("fig3_lambdabar.csv", "lambda_bar", (0.25, 0.5, 1.0)),
 )
 
 
 def _cmd_figures(run: RunConfig):
     grid = run.sim.grid
     tables = []
-    for filename, sweep_builder in _FIGURE_FILES:
-        curves = figure_sweep(sweep_builder(grid), tol=run.tol, max_iter=run.max_iter)
+    for filename, field, values in _FIGURE_FILES:
+        curves = figure_sweep(field, values, grid, tol=run.tol, max_iter=run.max_iter)
         tables.append((filename, ["t", "param_value", "F"], [
             np.tile(grid.points(), len(curves)),
             np.repeat([value for value, _ in curves], grid.n_points),

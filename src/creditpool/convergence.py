@@ -6,12 +6,12 @@ Three instruments:
   default-rate paths and the limit curve across a ladder of pool sizes,
   and reports per-size statistics (the distances should shrink as the
   pool grows).
-* :func:`figure_sweep` produces families of limit curves as one model
-  parameter is swept, for plotting and monotonicity checks.
-* :func:`q_identity_diagnostic` checks the internal identity
-  "contagion forcing = effective sensitivity x slope of the default
-  rate" by re-evaluating its right side with a higher-order quadrature;
-  the residual measures discretization error and must shrink under grid
+* :func:`figure_sweep` produces a family of limit curves as one
+  :class:`FirmType` field of the base case is swept, for plotting and
+  monotonicity checks.
+* :func:`q_identity_diagnostic` compares the solved forcing q with the
+  Picard map's image of q under Simpson quadrature; the gap measures the
+  solver's trapezoid discretization error and must shrink under grid
   refinement.
 """
 
@@ -30,18 +30,14 @@ from .limit import (
     solve_limit,
 )
 from .model import (
-    DEFAULT_CAP,
     DiscreteTypeMeasure,
     FirmType,
     SystematicFactorConfig,
     TimeGrid,
     Trajectory,
     homogeneous_measure,
-    validate_measure,
 )
 from .simulate import SimConfig, run_replications
-
-SWEEPABLE_FIELDS = ("alpha", "lambda_bar", "sigma", "beta_c", "beta_s", "lambda_init")
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,6 @@ class ConvergenceReport:
     """Sup-distance statistics across pool sizes, plus solver metadata."""
 
     cells: tuple[ConvergenceCell, ...]
-    grid: TimeGrid
     solver_iterations: int
     solver_residual: float
     #: pool sizes whose median distance did not improve on the previous
@@ -132,76 +127,44 @@ def lln_experiment(
     )
     return ConvergenceReport(
         cells=tuple(cells),
-        grid=grid,
         solver_iterations=limit.iterations,
         solver_residual=limit.residual,
         median_violations=violations,
     )
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter family of homogeneous pools."""
-
-    base: FirmType
-    lambda_init: float
-    field: str
-    values: tuple[float, ...]
-    grid: TimeGrid
-    cap: float = DEFAULT_CAP
-
-    def __post_init__(self):
-        if self.field not in SWEEPABLE_FIELDS:
-            raise ValueError(f"field must be one of {SWEEPABLE_FIELDS}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for v in self.values:
-            validate_measure(self.measure_for(v), cap=self.cap)
-
-    def measure_for(self, value: float) -> DiscreteTypeMeasure:
-        if self.field == "lambda_init":
-            return homogeneous_measure(self.base, value)
-        return homogeneous_measure(replace(self.base, **{self.field: value}),
-                                   self.lambda_init)
-
-
-def figure_sweep(
-    spec: SweepSpec,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[tuple[float, Trajectory], ...]:
-    """One limit solve per swept value, all on the shared grid."""
-    rows = []
-    for value in spec.values:
-        sol = solve_limit(spec.measure_for(value), spec.grid, tol=tol, max_iter=max_iter)
-        rows.append((value, sol.f))
-    return tuple(rows)
-
-
-# The base parameter case used by the curve-family outputs: a homogeneous
-# pool with sigma=0.9, alpha=4, lambda_bar=0.5, lambda_init=0.5.
+# The base parameter case of the curve families: a homogeneous pool with
+# sigma=0.9, alpha=4, lambda_bar=0.5, lambda_init=0.5.
 BASE_CASE = FirmType(alpha=4.0, lambda_bar=0.5, sigma=0.9, beta_c=2.0, beta_s=0.0)
 BASE_LAMBDA_INIT = 0.5
 
 
-def contagion_sweep(grid: TimeGrid) -> SweepSpec:
-    return SweepSpec(BASE_CASE, BASE_LAMBDA_INIT, "beta_c", (0.0, 1.0, 2.0, 4.0), grid)
+def figure_sweep(
+    field: str,
+    values: tuple[float, ...],
+    grid: TimeGrid,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[tuple[float, Trajectory], ...]:
+    """F for the base case with one :class:`FirmType` field set to each value.
 
-
-def reversion_speed_sweep(grid: TimeGrid) -> SweepSpec:
-    return SweepSpec(BASE_CASE, BASE_LAMBDA_INIT, "alpha", (2.0, 4.0, 8.0), grid)
-
-
-def reversion_level_sweep(grid: TimeGrid) -> SweepSpec:
-    return SweepSpec(BASE_CASE, BASE_LAMBDA_INIT, "lambda_bar", (0.25, 0.5, 1.0), grid)
+    One limit solve per value, all on the shared grid.
+    """
+    rows = []
+    for value in values:
+        measure = homogeneous_measure(replace(BASE_CASE, **{field: value}), BASE_LAMBDA_INIT)
+        rows.append((value, solve_limit(measure, grid, tol=tol, max_iter=max_iter).f))
+    return tuple(rows)
 
 
 def q_identity_diagnostic(limit: LimitSolution) -> float:
-    """Sup-norm residual of the identity q = B(surviving population) * dF/dt.
+    """Sup-norm gap between q and the Picard map's image of the solved q
+    under Simpson quadrature (:func:`~creditpool.limit.contagion_identity_rhs`).
 
-    The right side is evaluated with Simpson quadrature at the converged
-    forcing, so the residual reflects the trapezoid discretization error
-    of the solve (not the Picard stopping tolerance) and should drop by at
-    least half when the step is halved.
+    The solve itself uses the trapezoid rule, so the gap reflects its
+    discretization error (not the Picard stopping tolerance) and should
+    drop by at least half when the step is halved.  A pool with no
+    contagion, or with no intensity mass anywhere on the grid, gives 0.
     """
     rhs = contagion_identity_rhs(limit)
     return float(np.max(np.abs(limit.q.values - rhs.values)))

@@ -9,6 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def bounded_repr(value) -> str:
+    """``repr(value)`` for an error message: its first 80 characters, then "..." if cut."""
+    try:
+        text = repr(value)
+    except RecursionError:  # parsed JSON can nest deeper than repr reaches from here
+        return f"a {type(value).__name__} nested too deeply to show"
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 class CreditPoolError(Exception):
     """Base class for all toolkit errors."""
 
@@ -85,12 +94,6 @@ class NonFiniteStateError(CreditPoolError):
         super().__init__(
             f"non-finite intensity in replication {replication} at {where}, step {step}"
         )
-
-
-class DegenerateMeasureError(CreditPoolError):
-    """All surviving intensity mass is extinct; weighted averages undefined."""
-
-    code = "DEGENERATE_MEASURE"
 
 
 class MomentsNotRecordedError(CreditPoolError):

@@ -16,12 +16,14 @@ time-convolutions on a shared uniform grid.  Atoms of one firm type share
 one Riccati solve, and a sweep convolves q with each distinct kernel once,
 through FFT spectra cached for the whole solve.
 
-:func:`solve_q` returns a :class:`LimitSolution`: q, F built from the
-last sweep's exponents E_a, and the per-atom E_a and slopes D_a.  dF/dt
-(:func:`f_derivative`), the effective contagion weight and the Simpson
-identity check read that solution and reuse its kernels instead of
-sweeping again.  :func:`compute_f` is the fresh evaluation of F at a
-given q.
+The Picard map sends q to sum_a w_a beta_c_a D_a exp(-E_a), where E_a
+is the exponent above and D_a its time-slope.  :func:`solve_q` returns a
+:class:`LimitSolution`: q, F built from the last sweep's exponents, and
+the per-atom E_a and D_a.  dF/dt (:func:`f_derivative`) and
+:func:`contagion_identity_rhs`, the Picard map's image of the solved q
+under Simpson quadrature, read that solution and reuse its kernels
+instead of sweeping again.  :func:`compute_f` is the fresh evaluation of
+F at a given q.
 
 A second, independent route exists for single-class pools: iterate on F
 itself in the integral equation
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, NoConvergenceError, NonFiniteResultError
+from .errors import NoConvergenceError, NonFiniteResultError
 from .model import DiscreteTypeMeasure, FirmType, TimeGrid, Trajectory
 from .quadrature import TrapezoidKernel, conv_simpson, prefix_trapezoid
 from .quadrature import conv_trapezoid  # noqa: F401 - perfbench patches it here
@@ -47,10 +49,6 @@ from .riccati import RiccatiSolution, solve_riccati
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
-
-#: Below this surviving intensity mass the weighted contagion average is
-#: considered undefined.
-EXTINCTION_FLOOR = 1e-14
 
 
 def riccati_for_measure(
@@ -263,27 +261,6 @@ def f_derivative(limit: LimitSolution) -> Trajectory:
     return Trajectory(limit.grid, limit._kernels.weight @ masses)
 
 
-def effective_contagion_weight(limit: LimitSolution, k: int) -> float:
-    """Intensity-weighted average contagion sensitivity at grid index k.
-
-    The average is over the *surviving* population in the limit, weighting
-    each atom's sensitivity by its current intensity mass.  Lies between 0
-    and the largest atom sensitivity.  Raises :class:`ValueError` for k
-    outside 0..n_steps and :class:`DegenerateMeasureError` when
-    essentially no intensity mass survives.
-    """
-    if not 0 <= k <= limit.grid.n_steps:
-        raise ValueError(f"grid index {k} outside 0..{limit.grid.n_steps}")
-    kern = limit._kernels
-    masses = kern.weight * limit.slopes[:, k] * np.exp(-limit.exponents[:, k])
-    denom = float(masses.sum())
-    if denom <= EXTINCTION_FLOOR:
-        raise DegenerateMeasureError(
-            f"surviving intensity mass {denom:.3e} at grid index {k}"
-        )
-    return float((kern.beta_c @ masses) / denom)
-
-
 def solve_homogeneous_f(
     firm_type: FirmType,
     lambda_init: float,
@@ -329,23 +306,14 @@ def solve_limit(
 
 
 def contagion_identity_rhs(limit: LimitSolution) -> Trajectory:
-    """Higher-order evaluation of the identity q = B * dF/dt.
+    """The Picard map's image of the solved q under Simpson quadrature.
 
-    Recomputes the per-atom intensity masses with Simpson quadrature at
-    the converged forcing; the product of the effective contagion weight
-    and dF/dt then reduces to the sensitivity-weighted mass sum.  Because
-    the evaluation does not share the solver's trapezoid error, the gap to
-    the solved q measures discretization error rather than echoing the
-    Picard residual.  Raises :class:`DegenerateMeasureError` if the
-    surviving intensity mass is extinct anywhere on the grid.
+    Re-evaluates every atom's exponent E_a and slope D_a at the solved
+    forcing with Simpson quadrature, then applies the Picard map:
+    sum_a w_a beta_c_a D_a exp(-E_a).  Because the evaluation does not
+    share the solver's trapezoid error, its gap to the solved q measures
+    discretization error rather than echoing the Picard residual.
     """
     kern = limit._kernels
     E, D = kern.simpson_exponents_and_slopes(limit.q.values)
-    masses = kern.weight[:, None] * D * np.exp(-E)
-    denom = masses.sum(axis=0)
-    if denom.min() <= EXTINCTION_FLOOR:
-        k = int(np.argmax(denom <= EXTINCTION_FLOOR))
-        raise DegenerateMeasureError(
-            f"surviving intensity mass {denom[k]:.3e} at grid index {k}"
-        )
-    return Trajectory(limit.grid, kern.beta_c @ masses)
+    return Trajectory(limit.grid, kern.beta_c @ (kern.weight[:, None] * D * np.exp(-E)))

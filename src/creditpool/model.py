@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, Violation
+from .errors import ValidationError, Violation, bounded_repr
 
 #: Default bound on every parameter and initial intensity.  The model
 #: requires *some* finite bound; the value is a configuration choice.
@@ -42,7 +42,7 @@ def whole_number(value, name: str) -> int:
             return int(value)
         if isinstance(value, numbers.Real) and float(value).is_integer():
             return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {bounded_repr(value)}")
 
 
 @dataclass(frozen=True)

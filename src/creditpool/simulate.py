@@ -110,7 +110,6 @@ class SimResult:
     l_path: Trajectory
     default_times: np.ndarray          # nan where the firm survived
     intensity_moment_paths: tuple[Trajectory, Trajectory] | None
-    seed_used: int
     replication: int
 
     def __post_init__(self):
@@ -314,7 +313,6 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             l_path=Trajectory(grid, l_path[i]),
             default_times=default_times[i],
             intensity_moment_paths=moments,
-            seed_used=config.seed,
             replication=r,
         ))
     return results

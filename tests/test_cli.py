@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditpool import ValidationError, convergence, moment_diagnostic, run_replications
+from creditpool import TimeGrid, ValidationError, convergence, moment_diagnostic, run_replications
 from creditpool.cli import DEFAULT_CONFIG, MAX_SIZE, load_config, main, resolve_config
+from creditpool.errors import bounded_repr
 
 cli_module = import_module("creditpool.cli")
 
@@ -394,6 +395,27 @@ def test_deeply_nested_set_value_exit_code(tmp_path, capsys, value, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, field", [
+    pytest.param('measure.atoms.0.alpha="' + "x" * 5000 + '"', "measure.atoms[0].alpha",
+                 id="long-string"),
+    pytest.param("grid.n_steps=" + DEEP_LIST.decode(), "grid.n_steps", id="deep-list"),
+])
+def test_error_shows_a_bounded_prefix_of_the_value(tmp_path, capsys, override, field):
+    # the whole value was echoed: 5094 bytes, or all 1000 brackets
+    assert main(["limit", "--out", str(tmp_path), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert len(err.encode()) < 400
+
+
+def test_bounded_repr_of_a_value_too_deep_for_repr():
+    value = []
+    for _ in range(100_000):
+        value = [value]
+    assert bounded_repr(value) == "a list nested too deeply to show"
+    assert bounded_repr("x" * 5000) == "'" + "x" * 79 + "..."
+
+
 @pytest.mark.parametrize("cap", ["NaN", "Infinity", "-1"])
 def test_cap_must_be_finite_and_positive(tmp_path, capsys, cap):
     # NaN turned every cap check off and ran; -1 reported a CAP_EXCEEDED per field
@@ -429,11 +451,26 @@ def test_solver_settings_reach_the_solver(tmp_path, recorded_solves, command, ar
     assert all(call["tol"] == 1e-9 and call["max_iter"] == 50 for call in recorded_solves)
 
 
+# (file, swept FirmType field, param_value groups) of each curve family
+FIGURE_FAMILIES = [
+    ("fig1_betaC.csv", "beta_c", [0.0, 1.0, 2.0, 4.0]),
+    ("fig2_alpha.csv", "alpha", [2.0, 4.0, 8.0]),
+    ("fig3_lambdabar.csv", "lambda_bar", [0.25, 0.5, 1.0]),
+]
+
+
 class TestFiguresCommand:
     def test_files_groups_and_ordering(self, tmp_path):
         assert main(["figures", "--out", str(tmp_path), *SMALL_GRID]) == 0
-        for name in ("fig1_betaC.csv", "fig2_alpha.csv", "fig3_lambdabar.csv"):
-            assert (tmp_path / name).exists()
+        grid = TimeGrid(1.0, 80)
+        for name, field, groups in FIGURE_FAMILIES:
+            header, rows = read_csv(tmp_path / name)
+            assert header == ["t", "param_value", "F"]
+            values = np.array(column(header, rows, "param_value"))
+            assert sorted(set(values)) == groups
+            f = np.array(column(header, rows, "F"))
+            for value, curve in convergence.figure_sweep(field, groups, grid):
+                assert np.array_equal(f[values == value], curve.values)
         header, rows = read_csv(tmp_path / "fig1_betaC.csv")
         assert header == ["t", "param_value", "F"]
         values = column(header, rows, "param_value")

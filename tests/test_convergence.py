@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 
 from creditpool import (
-    DegenerateMeasureError,
     DiscreteTypeMeasure,
     EpsSchedule,
     FirmType,
     SimConfig,
-    SweepSpec,
     SystematicFactorConfig,
     TimeGrid,
     TypeAtom,
-    ValidationError,
-    contagion_sweep,
     figure_sweep,
     homogeneous_measure,
     lln_experiment,
     q_identity_diagnostic,
-    reversion_level_sweep,
-    reversion_speed_sweep,
     run_replications,
     solve_limit,
 )
@@ -131,32 +125,23 @@ class TestSimulatorScaling:
 
 class TestFigureSweep:
     def test_contagion_family_ordered(self, grid_coarse):
-        rows = figure_sweep(contagion_sweep(grid_coarse))
+        rows = figure_sweep("beta_c", (0.0, 1.0, 2.0, 4.0), grid_coarse)
         assert [v for v, _ in rows] == [0.0, 1.0, 2.0, 4.0]
         for (_, lo), (_, hi) in zip(rows, rows[1:]):
             assert np.all(hi.values >= lo.values - 1e-12)
 
     def test_reversion_level_family_ordered(self, grid_coarse):
-        rows = figure_sweep(reversion_level_sweep(grid_coarse))
+        rows = figure_sweep("lambda_bar", (0.25, 0.5, 1.0), grid_coarse)
         for (_, lo), (_, hi) in zip(rows, rows[1:]):
             assert np.all(hi.values >= lo.values - 1e-12)
 
     def test_reversion_speed_insensitive_early(self, grid_coarse):
-        rows = dict(figure_sweep(reversion_speed_sweep(grid_coarse)))
+        rows = dict(figure_sweep("alpha", (2.0, 4.0, 8.0), grid_coarse))
         k_early = grid_coarse.index_of(0.05)
         k_late = grid_coarse.index_of(1.0)
         gap_early = abs(rows[2.0].values[k_early] - rows[8.0].values[k_early])
         gap_late = abs(rows[2.0].values[k_late] - rows[8.0].values[k_late])
         assert gap_early < gap_late
-
-    def test_spec_validation(self, grid_coarse):
-        base = FirmType(4.0, 0.5, 0.9, 2.0)
-        with pytest.raises(ValueError):
-            SweepSpec(base, 0.5, "gamma", (1.0,), grid_coarse)
-        with pytest.raises(ValidationError):
-            SweepSpec(base, 0.5, "lambda_bar", (-0.25,), grid_coarse)
-        with pytest.raises(ValidationError):
-            SweepSpec(base, 0.5, "beta_c", (200.0,), grid_coarse, cap=100.0)
 
 
 class TestQIdentityDiagnostic:
@@ -182,7 +167,10 @@ class TestQIdentityDiagnostic:
         assert coarse < 1e-4
         assert coarse / fine >= 2.0
 
-    def test_degenerate_measure_propagates(self, grid_coarse):
-        m = homogeneous_measure(FirmType(4.0, 0.0, 0.9, 2.0), 0.0)
-        with pytest.raises(DegenerateMeasureError):
-            q_identity_diagnostic(solve_limit(m, grid_coarse))
+    def test_pools_starting_at_zero_intensity(self, grid_coarse):
+        # no intensity mass anywhere: q and its Picard image are both 0
+        idle = homogeneous_measure(FirmType(4.0, 0.0, 0.9, 2.0), 0.0)
+        assert q_identity_diagnostic(solve_limit(idle, grid_coarse)) == 0.0
+        # mass only from mean reversion: zero at t = 0, positive after
+        waking = homogeneous_measure(FirmType(4.0, 0.5, 0.9, 2.0), 0.0)
+        assert q_identity_diagnostic(solve_limit(waking, grid_coarse)) < 1e-3

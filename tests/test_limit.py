@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creditpool import (
-    DegenerateMeasureError,
     DiscreteTypeMeasure,
     FirmType,
     NoConvergenceError,
     TimeGrid,
     TypeAtom,
     compute_f,
-    effective_contagion_weight,
     f_derivative,
     homogeneous_measure,
     product_measure,
@@ -148,51 +146,6 @@ class TestHomogeneousRoute:
             solve_homogeneous_f(BASE, BASE_LAMBDA_INIT, grid_coarse, max_iter=2)
 
 
-class TestEffectiveContagionWeight:
-    def test_homogeneous_equals_sensitivity(self, base_measure, grid_coarse):
-        _, picard = solve_pool(base_measure, grid_coarse)
-        for k in (0, 100, 200):
-            b = effective_contagion_weight(picard, k)
-            assert b == pytest.approx(2.0, abs=1e-12)
-
-    def test_symmetric_two_atom_mixture(self, grid_coarse):
-        shared = dict(alpha=4.0, lambda_bar=0.5, sigma=0.9)
-        m = DiscreteTypeMeasure(
-            (
-                TypeAtom(FirmType(beta_c=0.0, **shared), 0.5, 0.5),
-                TypeAtom(FirmType(beta_c=2.0, **shared), 0.5, 0.5),
-            )
-        )
-        _, picard = solve_pool(m, grid_coarse)
-        assert effective_contagion_weight(picard, 0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_bounded_by_max_sensitivity(self, grid_coarse):
-        m = DiscreteTypeMeasure(
-            (
-                TypeAtom(FirmType(2.0, 0.3, 0.5, beta_c=0.0), 0.2, 0.3),
-                TypeAtom(FirmType(6.0, 0.8, 1.2, beta_c=3.0), 0.9, 0.7),
-            )
-        )
-        _, picard = solve_pool(m, grid_coarse)
-        for k in range(0, grid_coarse.n_points, 20):
-            b = effective_contagion_weight(picard, k)
-            assert 0.0 <= b <= 3.0
-
-    def test_degenerate_measure(self, grid_coarse):
-        m = homogeneous_measure(FirmType(4.0, 0.0, 0.9, 2.0), 0.0)
-        _, picard = solve_pool(m, grid_coarse)
-        with pytest.raises(DegenerateMeasureError):
-            effective_contagion_weight(picard, 0)
-
-    def test_grid_index_outside_the_grid(self, base_measure):
-        grid = TimeGrid(1.0, 100)
-        _, picard = solve_pool(base_measure, grid)
-        assert effective_contagion_weight(picard, grid.n_steps) == pytest.approx(2.0, abs=1e-12)
-        for k in (-1, grid.n_points):
-            with pytest.raises(ValueError, match="grid index"):
-                effective_contagion_weight(picard, k)
-
-
 class TestSolveLimit:
     def test_bundles_everything(self, base_measure, grid_1k):
         sol = solve_limit(base_measure, grid_1k)
@@ -308,7 +261,6 @@ class TestBatchedKernel:
         sol = solve_limit(two_by_three, grid_coarse)
         q_identity_diagnostic(sol)
         f_derivative(sol)
-        effective_contagion_weight(sol, grid_coarse.n_steps)
         assert len(built) == 1
 
     def test_solution_keeps_exponents_of_its_last_sweep(self, two_by_three, grid_coarse):
