@@ -12,6 +12,8 @@ Configuration is one JSON object with sections ``measure``, ``factor``,
 ``grid``, ``solver``, ``sim``, ``converge``; every field is optional and
 defaults are materialized into the manifest written next to each output.
 A manifest can itself be passed back as ``--config`` to reproduce a run.
+The ``--config`` file and each ``--set`` go over the defaults through one
+:func:`_overlay`; ``main`` returns the ``exit_code`` of the error it caught.
 
 A run is one pipeline: :func:`resolve_config` checks every section,
 whichever command runs; the command only computes its tables; and
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import errno
 import json
 import math
 import sys
@@ -36,12 +39,10 @@ from .convergence import figure_sweep, lln_experiment
 from .errors import (
     ConfigError,
     CreditPoolError,
-    NoConvergenceError,
-    NonFiniteResultError,
-    NonFiniteStateError,
     ValidationError,
     Violation,
     bounded_repr,
+    bounded_text,
 )
 from .limit import solve_limit
 from .model import (
@@ -55,12 +56,6 @@ from .model import (
     whole_number,
 )
 from .simulate import RNG_CONTRACT, SimConfig, moment_diagnostic, run_replications
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_NONFINITE = 4
-EXIT_IO = 5
 
 DEFAULT_CONFIG = {
     "measure": {
@@ -90,98 +85,86 @@ DEFAULT_CONFIG = {
     "converge": {"n_values": [100, 1000, 10000], "n_reps": 20},
 }
 
-_ATOM_KEYS = {"alpha", "lambda_bar", "sigma", "beta_c", "beta_s", "lambda_init", "weight"}
+_FIRM_KEYS = ("alpha", "lambda_bar", "sigma", "beta_c", "beta_s")
+_ATOM_KEYS = {*_FIRM_KEYS, "lambda_init", "weight"}
 
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
 
-def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key: {where}")
-        out[key] = _overlay(base[key], value, where)
-    return out
-
-
-def _overlay(old, new, where: str):
-    """``new`` in place of ``old``; an object section takes only an object, merged into it.
-
-    ``new`` is freshly parsed JSON that nothing else holds, so it is not copied.
-    """
-    if not isinstance(old, dict):
-        return new
+def _overlay(old: dict, new, where: str) -> None:
+    """Merge the object ``new`` into the object section ``old`` in place, key by key:
+    an unknown key is an error, an object section is merged into, anything else
+    is replaced.  Nothing is copied: ``old`` is the caller's, ``new`` fresh JSON."""
     if not isinstance(new, dict):
-        raise ConfigError(f"{where} must be an object, got {bounded_repr(new)}")
-    return _deep_merge(old, new, where)
+        raise ConfigError(f"{bounded_text(where)} must be an object, got {bounded_repr(new)}")
+    for key, value in new.items():
+        at = f"{where}.{key}" if where else key
+        if key not in old:
+            raise ConfigError(f"unknown config key: {bounded_text(at)}")
+        if isinstance(old[key], dict):
+            _overlay(old[key], value, at)
+        else:
+            old[key] = value
 
 
-def _parse_set(expr: str) -> tuple[list[str], object]:
+def _json(text: str, source: str):
+    """``json.loads(text)``; JSON nested too deeply to parse is a ConfigError naming ``source``."""
+    try:
+        return json.loads(text)
+    except RecursionError:  # valid so far, but too deep to parse
+        raise ConfigError(f"{source}: the JSON value is nested too deeply") from None
+
+
+def _apply_set(config: dict, expr: str) -> None:
+    """One ``--set key=value`` (a JSON value, else the raw string).  Each dotted
+    segment of the key is an object key or a list index (negative from the end);
+    the value goes through :func:`_overlay` under an object, or replaces a list element."""
     if "=" not in expr:
         raise ConfigError(f"--set expects key=value, got {bounded_repr(expr)}")
     key, raw = expr.split("=", 1)
     try:
-        value = json.loads(raw)
+        value = _json(raw, f"--set {bounded_text(key)}=...")
     except json.JSONDecodeError:
         value = raw
-    except RecursionError:  # valid so far, but too deep to parse: not a raw string
-        raise ConfigError(f"--set {key}=...: the JSON value is nested too deeply") from None
-    return key.split("."), value
-
-
-def _apply_set(config: dict, segments: list[str], value, expr: str) -> None:
+    segments = key.split(".")
     node = config
-    for i, seg in enumerate(segments):
-        last = i == len(segments) - 1
-        if isinstance(node, list):
-            try:
-                idx = int(seg)
-                node[idx]  # noqa: B018 - bounds check
-            except (ValueError, IndexError):
-                raise ConfigError(f"bad list index {bounded_repr(seg)} "
-                                  f"in --set {bounded_repr(expr)}") from None
-            if last:
-                node[idx] = value
-            else:
-                node = node[idx]
-        elif isinstance(node, dict):
-            if seg not in node:
-                raise ConfigError(f"unknown config key {bounded_repr(seg)} "
-                                  f"in --set {bounded_repr(expr)}")
-            if last:
-                node[seg] = _overlay(node[seg], value, ".".join(segments))
-            else:
-                node = node[seg]
-        else:
-            raise ConfigError(f"cannot descend into scalar at {bounded_repr(seg)} "
-                              f"in --set {bounded_repr(expr)}")
+    for depth, seg in enumerate(segments):
+        parent = node
+        try:  # TypeError: node is a scalar; ValueError: int() rejects seg
+            entry = int(seg) if isinstance(node, list) else seg
+            node = node[entry]
+        except (TypeError, ValueError, KeyError, IndexError):
+            where = bounded_text(".".join(segments[:depth])) or "the config"
+            raise ConfigError(f"--set {bounded_text(expr)}: {where} has no entry "
+                              f"{bounded_text(seg)}") from None
+    if isinstance(parent, dict):
+        _overlay(parent, {entry: value}, ".".join(segments[:-1]))
+    else:
+        parent[entry] = value
 
 
 def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
     """Defaults, overlaid by the config file, --set overrides, then --seed."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(p.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            loaded = _json(Path(path).read_text(encoding="utf-8"), f"config file {path}")
+        except OSError as exc:  # the errors that Path.exists() reads as "no such file"
+            if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+                raise
+            raise ConfigError(f"config file not found: {path}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if isinstance(loaded, dict) and "command" in loaded and "config" in loaded:
             loaded = loaded["config"]  # accept a manifest as a config
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
-        config = _deep_merge(config, loaded)
+        _overlay(config, loaded, "")
     for expr in sets:
-        segments, value = _parse_set(expr)
-        _apply_set(config, segments, value, expr)
+        _apply_set(config, expr)
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("--seed must be a nonnegative integer")
         config["sim"]["seed"] = seed
     return config
 
@@ -232,19 +215,9 @@ def _measure(section: dict) -> DiscreteTypeMeasure:
                               f"{bounded_repr(sorted(unknown))}")
         fields = {key: _number(value, f"measure.atoms[{i}].{key}")
                   for key, value in entry.items()}
-        atoms.append(
-            TypeAtom(
-                firm_type=FirmType(
-                    alpha=fields.get("alpha", 0.0),
-                    lambda_bar=fields.get("lambda_bar", 0.0),
-                    sigma=fields.get("sigma", 0.0),
-                    beta_c=fields.get("beta_c", 0.0),
-                    beta_s=fields.get("beta_s", 0.0),
-                ),
-                lambda_init=fields.get("lambda_init", 0.0),
-                weight=fields.get("weight", 1.0),
-            )
-        )
+        firm_type = FirmType(**{key: fields.get(key, 0.0) for key in _FIRM_KEYS})
+        atoms.append(TypeAtom(firm_type, lambda_init=fields.get("lambda_init", 0.0),
+                              weight=fields.get("weight", 1.0)))
     return validate_measure(DiscreteTypeMeasure(atoms=tuple(atoms)), cap=cap)
 
 
@@ -518,23 +491,14 @@ def main(argv=None) -> int:
         except MemoryError as exc:  # sizes under the ceiling can still be too large
             print(f"error (OUT_OF_MEMORY): {args.command} does not fit in memory at "
                   f"{_sizes(args.command, run)}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        return EXIT_OK
-    except (ConfigError, ValidationError) as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoConvergenceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (NonFiniteResultError, NonFiniteStateError) as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except OSError as exc:
-        print(f"error (IO): {exc}", file=sys.stderr)
-        return EXIT_IO
+            return 2
+        return 0
     except CreditPoolError as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error (IO): {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

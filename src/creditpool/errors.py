@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
-Every error carries a short machine-readable ``code`` so the CLI can map
-failures to distinct exit codes without string matching.
+Every error carries a short machine-readable ``code``, which the CLI prints,
+and the ``exit_code`` the CLI returns for it: 2 config or validation, 3 no
+convergence, 4 non-finite, 1 any other toolkit error (no input should reach one).
 """
 
 from __future__ import annotations
@@ -9,19 +10,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def bounded_text(text: str) -> str:
+    """``text`` for an error message: its first 80 characters, then "..." if cut."""
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def bounded_repr(value) -> str:
-    """``repr(value)`` for an error message: its first 80 characters, then "..." if cut."""
+    """``repr(value)`` for an error message, bounded as :func:`bounded_text`."""
     try:
-        text = repr(value)
+        return bounded_text(repr(value))
     except RecursionError:  # parsed JSON can nest deeper than repr reaches from here
         return f"a {type(value).__name__} nested too deeply to show"
-    return text if len(text) <= 80 else text[:80] + "..."
 
 
 class CreditPoolError(Exception):
     """Base class for all toolkit errors."""
 
     code = "ERROR"
+    exit_code = 1
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,7 @@ class ValidationError(CreditPoolError):
     """
 
     code = "VALIDATION"
+    exit_code = 2
 
     def __init__(self, violations):
         self.violations = tuple(violations)
@@ -57,12 +64,14 @@ class ConfigError(CreditPoolError):
     """Configuration file missing, unreadable, or structurally invalid."""
 
     code = "CONFIG_PARSE"
+    exit_code = 2
 
 
 class NoConvergenceError(CreditPoolError):
     """Fixed-point iteration failed to reach tolerance within max_iter."""
 
     code = "NO_CONVERGENCE"
+    exit_code = 3
 
     def __init__(self, iterations: int, residual: float, tol: float):
         self.iterations = iterations
@@ -78,6 +87,7 @@ class NonFiniteResultError(CreditPoolError):
     """A deterministic solve produced NaN/inf or a materially negative value."""
 
     code = "NONFINITE_RESULT"
+    exit_code = 4
 
 
 class NonFiniteStateError(CreditPoolError):
@@ -85,6 +95,7 @@ class NonFiniteStateError(CreditPoolError):
     became non-finite."""
 
     code = "NONFINITE_STATE"
+    exit_code = 4
 
     def __init__(self, replication: int, firm: int | None, step: int):
         self.replication = replication

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -11,7 +14,15 @@ from hypothesis import strategies as st
 
 from creditpool import TimeGrid, ValidationError, convergence, moment_diagnostic, run_replications
 from creditpool.cli import DEFAULT_CONFIG, MAX_SIZE, load_config, main, resolve_config
-from creditpool.errors import bounded_repr
+from creditpool.errors import (
+    ConfigError,
+    MomentsNotRecordedError,
+    NoConvergenceError,
+    NonFiniteResultError,
+    NonFiniteStateError,
+    Violation,
+    bounded_repr,
+)
 
 cli_module = import_module("creditpool.cli")
 
@@ -596,3 +607,103 @@ def test_fuzzed_leaf_exits_with_a_documented_code(tmp_path_factory, command, lea
             for arg in ("--set", expr)]
     out = tmp_path_factory.mktemp("fuzz")
     assert main([command, "--out", str(out), *sets]) in {0, 2, 3, 4, 5}
+
+
+# Config input: a --config file and --set go through one overlay, and every
+# key an error echoes is bounded like a value.
+LONG_KEY = "k" * 3000
+
+
+def test_set_with_long_key_and_deep_value_shows_a_bounded_key(tmp_path, capsys):
+    # the whole key was echoed: 3070 bytes
+    assert main(["limit", "--out", str(tmp_path),
+                 "--set", f"{LONG_KEY}={'[' * 100_000}"]) == 2
+    assert len(capsys.readouterr().err.encode()) < 400
+
+
+def test_config_file_with_long_key_shows_a_bounded_key(tmp_path, capsys):
+    # the whole key was echoed: 3043 bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({LONG_KEY: 1}))
+    assert main(["limit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.encode()) < 400
+
+
+TWO_ATOMS = [{"alpha": 4.0, "lambda_bar": 0.5, "sigma": 0.9, "beta_c": 2.0,
+              "lambda_init": 0.2, "weight": 0.5},
+             {"alpha": 2.0, "lambda_bar": 0.25, "sigma": 0.5, "beta_c": 1.0,
+              "lambda_init": 0.8, "weight": 0.5}]
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("grid", {"n_steps": 40}, id="object-merged-into-section"),
+    pytest.param("measure.atoms", TWO_ATOMS, id="list-replaced-whole"),
+])
+def test_config_file_and_set_overlay_alike(tmp_path, key, value):
+    section, _, field = key.partition(".")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {field: value} if field else value}))
+    from_file = load_config(str(cfg), [], None)
+    assert from_file == load_config(None, [f"{key}={json.dumps(value)}"], None)
+    assert from_file["grid"]["t_end"] == DEFAULT_CONFIG["grid"]["t_end"]
+    if field:
+        assert from_file[section][field] == value
+
+
+def test_set_negative_index_edits_the_last_atom():
+    atoms = json.dumps(TWO_ATOMS)
+    config = load_config(None, [f"measure.atoms={atoms}", "measure.atoms.-1.beta_c=4"], None)
+    assert config["measure"]["atoms"] == [TWO_ATOMS[0], dict(TWO_ATOMS[1], beta_c=4)]
+
+
+@pytest.mark.parametrize("key, segment", [
+    pytest.param("measure.atoms.5.alpha", "5", id="index-out-of-range"),
+    pytest.param("grid.steps", "steps", id="unknown-key"),
+    pytest.param("measure.atoms.0.alpha.x", "x", id="into-a-scalar"),
+])
+def test_set_path_error_names_its_segment(tmp_path, capsys, key, segment):
+    assert main(["limit", "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
+    err = capsys.readouterr().err
+    assert f"--set {key}=1" in err and err.rstrip().endswith(f"has no entry {segment}")
+
+
+@pytest.mark.parametrize("error, code", [
+    pytest.param(ConfigError("bad"), 2, id="config"),
+    pytest.param(ValidationError([Violation("INVALID_VALUE", "grid", "bad")]), 2,
+                 id="validation"),
+    pytest.param(MemoryError("no room"), 2, id="memory"),
+    pytest.param(NoConvergenceError(2, 0.5, 1e-10), 3, id="no-convergence"),
+    pytest.param(NonFiniteResultError("nan"), 4, id="nonfinite-result"),
+    pytest.param(NonFiniteStateError(0, 1, 2), 4, id="nonfinite-state"),
+    pytest.param(OSError("disk"), 5, id="io"),
+    pytest.param(MomentsNotRecordedError("internal"), 1, id="internal"),
+])
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code):
+    def failing_run(*args):
+        raise error
+
+    monkeypatch.setattr(cli_module, "_run", failing_run)
+    assert main(["limit", "--out", str(tmp_path), *SMALL_GRID]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error (") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _python_m_creditpool(cwd, *args):
+    """``python -m creditpool`` in a fresh process, importing this checkout's package."""
+    src = str(Path(cli_module.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "creditpool", *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_python_m_creditpool_writes_limit_csv(tmp_path):
+    done = _python_m_creditpool(tmp_path, "limit", "--set", "grid.n_steps=20")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "limit.csv").read_text().splitlines()[0] == "t,F,Q,b_0"
+
+
+def test_python_m_creditpool_reports_a_bad_key_in_one_line(tmp_path):
+    done = _python_m_creditpool(tmp_path, "limit", "--set", "grid.steps=5")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error (") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
