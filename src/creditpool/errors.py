@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 
 def bounded_text(text: str) -> str:
-    """``text`` for an error message: its first 80 characters, then "..." if cut."""
-    return text if len(text) <= 80 else text[:80] + "..."
+    """``text`` for a one-line error message: each unprintable character, a
+    newline say, escaped as ``repr`` escapes it, then the first 80
+    characters of that, then "..." if cut."""
+    shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text[:81])
+    return shown if len(shown) <= 80 else shown[:80] + "..."
 
 
 def bounded_repr(value) -> str:

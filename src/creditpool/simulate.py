@@ -7,10 +7,13 @@ first time its running integrated intensity exceeds an independent
 standard-exponential threshold.
 
 Discretization: full-truncation Euler for the intensity (the truncated
-positive part feeds the drift, the square root, and the factor term), the
-exact Gaussian transition for the shared factor, trapezoid accumulation of
-the integrated intensity, and default detection at step ends with the
-whole batch of simultaneous defaults applied at once to every survivor.
+positive part feeds the drift, the square root, and the factor term) with
+a two-point firm increment, +1 or -1 with probability 1/2 each in place of
+a standard normal (the simplified weak Euler scheme, weak order 1 like the
+Gaussian one), the exact Gaussian transition for the shared factor,
+trapezoid accumulation of the integrated intensity, and default detection
+at step ends with the whole batch of simultaneous defaults applied at once
+to every survivor.
 
 Batching: replications are stepped together.  The state of a batch is a
 dense grid, one ``(replications, N)`` array per quantity, and one time
@@ -19,30 +22,25 @@ step is one pass of numpy operations over it.
 ``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
 A defaulted firm's threshold becomes NaN, which no integrated intensity
 reaches; the firm keeps its cell and is stepped, unread, to the end of the
-run.  A one-worker thread-pool executor draws the normals into one of two
-buffers while the stepping reads the other.  A batch of C cells puts
-``max(16, _CELL_BUDGET // C)`` steps in a buffer, at most ``n_steps``:
-1000 cells get 65 steps, and any batch of 4096 cells or more gets 16.
-The two buffers together therefore hold at most ``32 * _CELL_BUDGET``
-doubles (16 MB), or ``32 * N`` for a replication of more than
-``_CELL_BUDGET`` firms, so memory is O(batch cells), not O(N * n_steps),
-while a small batch pays its per-buffer costs less often.
+run.  The signs are drawn on the calling thread, with no helper, into
+one buffer of ``_SIGN_BLOCK`` steps: one generator call per replication
+and block, and memory O(batch cells), not O(N * n_steps).
 
-Reproducibility (``RNG_CONTRACT`` 3): replication r of seed s draws its
+Reproducibility (``RNG_CONTRACT`` 4): replication r of seed s draws its
 firm noise from one SFC64 stream seeded by ``(s, r)``: N
-standard-exponential thresholds first, then N standard normals per step,
-in step order.  The step takes the drift as ``(lbar - lam+) * (alpha dt)``
-and the noise as ``sqrt(lam+) * (sigma sqrt(dt)) * Z``.  The shared
+standard-exponential thresholds first, then ``ceil(N / 64)`` raw 64-bit
+words per step, in step order.  Firm i's increment in a step is -1 if bit
+``i % 64`` (0 the least significant) of the step's word ``i // 64`` is
+set, else +1.  The step takes the drift as ``(lbar - lam+) * (alpha dt)``
+and the noise as ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)``.  The shared
 factor and the sampled atom assignment have streams of their own under
 the same key.  A replication's output is therefore bit-identical however
-the replications are batched, and neither the helper thread nor the
-buffer length changes a bit; a firm's noise does depend on N.
+the replications are batched, on any host; a firm's noise does depend on N.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +59,7 @@ ASSIGNMENTS = ("proportional", "sampled")
 
 #: Version of the map from ``(seed, replication)`` to random draws, written
 #: into manifests.  It changes whenever simulated output bits change.
-RNG_CONTRACT = 3
+RNG_CONTRACT = 4
 
 # Stream tags under (seed, replication, tag): keep these stable, they
 # are part of the reproducibility contract.
@@ -72,12 +70,14 @@ _STREAM_ASSIGN = 2
 # Replications x firms stepped together.  Small pools share a batch, so
 # per-step interpreter overhead is paid once for many replications; the
 # cap bounds a batch's memory, whose per-cell state keeps every firm,
-# defaulted or not, for the whole run.  It also sizes the normals buffers
-# (see the module docstring): a small batch gets longer buffers, so it pays
-# the per-buffer costs (a task for the one-worker executor that draws the
-# normals, one generator call per replication) less often.  Part of no
-# contract: a stream's draws do not depend on how they are blocked.
+# defaulted or not, for the whole run.  Part of no contract: a
+# replication's draws do not depend on its batch.
 _CELL_BUDGET = 1 << 16
+
+# Steps of firm signs drawn at once: one generator call per replication
+# and block instead of per step, into a buffer of _SIGN_BLOCK doubles per
+# cell.  Part of no contract either.
+_SIGN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -199,19 +199,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     lam_plus, next_plus, incr, term = np.empty((4, width, n))
     hit = np.empty(shape, dtype=bool)
 
-    # Two buffers of `block` steps each: the executor's one thread draws
-    # the next block into one while this thread steps through the other,
-    # replication-major so each stream fills a contiguous run.
-    block = min(max(16, _CELL_BUDGET // (width * n)), n_steps)
-    normals = np.empty((2, width, block, n))
-    factor_normals = np.empty((2, width, block))
-
-    def draw(i: int) -> None:
-        count = min(block, n_steps - i * block)
-        for g, out in zip(firm_rngs, normals[i % 2]):
-            g.standard_normal((count, n), out=out[:count])
-        for g, out in zip(factor_rngs, factor_normals[i % 2]):
-            g.standard_normal(count, out=out[:count])
+    # the firm signs and factor normals of one block of steps
+    block = min(_SIGN_BLOCK, n_steps)
+    signs = np.empty((width, block, n))
+    factor_normals = np.empty((width, block))
 
     counts = np.zeros((width, n_steps + 1), dtype=np.int64)  # defaults per step
     default_times = np.full(shape, np.nan)
@@ -226,38 +217,38 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             m1[:, k] = pos.mean(axis=1)
             m2[:, k] = np.mean(pos * pos, axis=1)
 
-    n_blocks = -(-n_steps // block)
-    # draw(i + 1) refills the buffer block i - 1 read, so it is submitted
-    # only once that block is stepped; leaving the `with` waits for it
-    with (ThreadPoolExecutor(1, "creditpool-normals") as helper,
-          np.errstate(over="ignore", invalid="ignore")):
-        drawn = helper.submit(draw, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
         if config.record_moments:
             record(0)
         np.maximum(lam, 0.0, out=lam_plus)
-        for i in range(n_blocks):
-            drawn.result()  # raises here what draw raised on the helper
-            if i + 1 < n_blocks:
-                drawn = helper.submit(draw, i + 1)
-            start, buf = i * block, i % 2
+        for start in range(0, n_steps, block):
+            count = min(block, n_steps - start)
+            # per replication and step ceil(N / 64) words, read as
+            # little-endian bytes on any host; a set bit is -1, a clear one +1
+            words = np.stack([g.bit_generator.random_raw((count, -(-n // 64))) for g in firm_rngs])
+            bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=2,
+                                 bitorder="little")[:, :, :n]
+            np.subtract(1.0, bits + bits, out=signs[:, :count])
+            for g, out in zip(factor_rngs, factor_normals):
+                g.standard_normal(count, out=out[:count])
 
             # One step, in place:  with lam+ = max(lam, 0),
-            #   lam += (lbar - lam+) (alpha dt) + sqrt(lam+) (sigma sqrt(dt)) Z
+            #   lam += (lbar - lam+) (alpha dt) + sqrt(lam+) (sigma sqrt(dt)) (+-1)
             #          + exposure lam+ dx,
             #   integrated += dt/2 (lam+ + max(lam, 0)),
             # each product taken in the order written, so the bits match
             # the formula evaluated term by term.  The new max(lam, 0) is
             # the next step's lam+ unless a default jump moves lam.
-            for k in range(start, min(start + block, n_steps)):
-                j = k - start
+            for j in range(count):
+                k = start + j
                 np.subtract(lbar, lam_plus, out=incr)
                 incr *= alpha_dt
                 np.sqrt(lam_plus, out=term)
                 term *= sigma_sqdt
-                term *= normals[buf, :, j]
+                term *= signs[:, j]
                 incr += term
                 if factor_active:
-                    x_new = x * ou_decay + ou_scale * factor_normals[buf, :, j]
+                    x_new = x * ou_decay + ou_scale * factor_normals[:, j]
                     dx = x_new - x
                     x = x_new
                     np.multiply(exposure, lam_plus, out=term)

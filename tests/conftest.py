@@ -12,8 +12,8 @@ from creditpool import (
     homogeneous_measure,
 )
 
-# A test that hangs (say, waiting on a helper thread that never frees a
-# buffer) ends the run with every thread's traceback instead of stalling it.
+# A test that hangs (say, a subprocess that never exits or a loop that never
+# converges) ends the run with every thread's traceback instead of stalling it.
 HANG_SECONDS = 120
 
 

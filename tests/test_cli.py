@@ -173,7 +173,7 @@ class TestSimulateCommand:
     def test_manifest_records_rng_contract(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), *SIM_ARGS]) == 0
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
-        assert manifest["rng_contract"] == 3
+        assert manifest["rng_contract"] == 4
         assert "threads_hint" not in manifest
 
     def test_moments_written_only_when_recorded(self, tmp_path):
@@ -274,7 +274,7 @@ class TestConvergeCommand:
         assert [p["N"] for p in pools] == [40, 160] and all(p["seconds"] >= 0.0 for p in pools)
         assert manifest["solver_residual"] <= 1e-10
         assert "median_violations" in manifest
-        assert manifest["rng_contract"] == 3
+        assert manifest["rng_contract"] == 4
 
     def test_rerun_identical_bytes(self, tmp_path):
         # wall-clock time goes to the manifest, never to the data file
@@ -627,6 +627,21 @@ def test_config_file_with_long_key_shows_a_bounded_key(tmp_path, capsys):
     cfg.write_text(json.dumps({LONG_KEY: 1}))
     assert main(["limit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert len(capsys.readouterr().err.encode()) < 400
+
+
+@pytest.mark.parametrize("how", ["set", "file"])
+def test_control_character_in_a_key_keeps_one_line(tmp_path, capsys, how):
+    # the newline was echoed raw: three lines
+    if how == "set":
+        args = ["--set", "grid.st\neps=5"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"st\neps": 5}}))
+        args = ["--config", str(cfg)]
+    assert main(["limit", "--out", str(tmp_path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (CONFIG_PARSE): ") and err.count("\n") == 1
+    assert "st\\neps" in err
 
 
 TWO_ATOMS = [{"alpha": 4.0, "lambda_bar": 0.5, "sigma": 0.9, "beta_c": 2.0,

@@ -1,7 +1,6 @@
+import dataclasses
 import hashlib
 import math
-import sys
-import threading
 import tracemalloc
 from importlib import import_module
 
@@ -52,25 +51,6 @@ def make_config(n_firms=200, grid=None, seed=123, measure=None, factor=None, **k
     )
 
 
-def count_buffers(monkeypatch) -> list[int]:
-    """The number of normals buffers each batch fills, appended batch by batch."""
-    seen = []
-
-    class Spy(simulate_module.ThreadPoolExecutor):
-        # each batch opens one executor and submits one draw per buffer
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.slot = len(seen)
-            seen.append(0)
-
-        def submit(self, *args, **kwargs):
-            seen[self.slot] += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", Spy)
-    return seen
-
-
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         config = make_config(record_moments=True)
@@ -91,7 +71,7 @@ class TestDeterminism:
 
     def test_batching_does_not_change_results(self, monkeypatch):
         # two atoms with factor exposure, so every term of a step runs; 150
-        # steps end in a partial block of normals
+        # steps end in a partial block of signs
         m = DiscreteTypeMeasure(
             (
                 TypeAtom(FirmType(4.0, 0.5, 0.9, 2.0, beta_s=1.0), 0.5, 0.5),
@@ -200,7 +180,7 @@ class TestPathStructure:
         assert "replication 3" in str(err.value) and "step 0" in str(err.value)
 
     def test_peak_memory_bounded_at_large_pool(self):
-        # the normals of 1000 steps alone would take 160 MB at once
+        # the increments of 1000 steps alone would take 160 MB at once
         config = make_config(n_firms=20_000, grid=TimeGrid(1.0, 1000),
                              record_moments=False)
         tracemalloc.start()
@@ -240,6 +220,34 @@ class TestOracles:
         assert np.all(np.isfinite(m2))
         assert m2.max() < 5.0
 
+    # Fixed before the first run: the seed and the bound.  The pool is the
+    # base of the first-moment test scaled by c = 0.01 (lambda by c, sigma
+    # by sqrt(c)), which the Euler step maps onto itself scaled by c: the
+    # relative moments are the same, while only about 0.1% of firms default
+    # by t = 1, too few for their frozen intensities to bias the average.
+    # 4000 independent firms estimate E[lambda_t^2] to about 1.6% at each t.
+    SECOND_MOMENT_SEED = 20261019
+    SECOND_MOMENT_BOUND = 0.06
+
+    def test_second_moment_tracks_cir_ode(self):
+        # beta_c = beta_s = 0: each intensity is an independent square-root
+        # diffusion, so m1 = lbar + (lam0 - lbar) exp(-alpha t) and
+        #   dm2/dt = (2 alpha lbar + sigma^2) m1 - 2 alpha m2,
+        # which the Euler step matches to O(dt) in law; its increment
+        # enters only through its mean 0 and variance 1.  Doubling the noise
+        # variance moves m2 by up to 18%.
+        alpha, lbar, sigma, lam0 = 4.0, 5e-4, 0.03, 1e-3
+        grid = TimeGrid(1.0, 500)
+        m = homogeneous_measure(FirmType(alpha, lbar, sigma, 0.0), lam0)
+        result = simulate(make_config(n_firms=4000, measure=m, grid=grid,
+                                      seed=self.SECOND_MOMENT_SEED, record_moments=True))
+        assert result.l_path.values[-1] < 5e-3
+        decay = np.exp(-alpha * grid.points())
+        expected = lam0**2 * decay**2 + (2 * alpha * lbar + sigma**2) * (
+            lbar * (1 - decay**2) / (2 * alpha) + (lam0 - lbar) * (decay - decay**2) / alpha)
+        observed = moment_diagnostic(result, 2).values
+        assert np.max(np.abs(observed / expected - 1.0)) < self.SECOND_MOMENT_BOUND
+
     def test_factor_exposure_variance_shrinks_with_schedule(self):
         # sigma = beta_c = 0 isolates the factor term; the built-in
         # 1/sqrt(N) schedule must inject less variance than a fixed one
@@ -261,21 +269,18 @@ class TestOracles:
     BINOMIAL_SEED = 20260810
     CHI2_10_Q999 = 29.59
 
-    @pytest.mark.parametrize("n_reps, buffers", [(250, 2), (2000, 7)])
-    def test_exact_binomial_oracle(self, monkeypatch, n_reps, buffers):
+    @pytest.mark.parametrize("n_reps", [250, 2000])
+    def test_exact_binomial_oracle(self, n_reps):
         # sigma = beta_c = beta_s = 0: every firm has the same deterministic
         # integrated intensity Lambda_k, the simulator's own Euler and
         # trapezoid sum, so a firm defaults at the first step with
-        # Lambda_k >= its Exp(1) threshold.  N = 4 firms per replication;
-        # 1000 cells get 65-step buffers, 8000 cells get 16-step ones.
+        # Lambda_k >= its Exp(1) threshold.  N = 4 firms per replication.
         grid = TimeGrid(1.0, 100)
         alpha, lbar, lam0 = 3.0, 1.0, 0.2
         n = 4
         config = make_config(n_firms=n, grid=grid, seed=self.BINOMIAL_SEED,
                              measure=homogeneous_measure(FirmType(alpha, lbar, 0.0, 0.0), lam0))
-        seen = count_buffers(monkeypatch)
         reps = run_replications(config, n_reps)
-        assert seen == [buffers]
 
         dt = grid.dt
         alpha_dt, half_dt = alpha * dt, 0.5 * dt
@@ -372,15 +377,16 @@ class TestAssignment:
 
 def reference_batch(config, replications):
     """The direct step loop: every firm of every replication each step, with
-    defaulted firms masked out, and one normal draw per step.
+    defaulted firms masked out, and one draw of firm signs per step.
 
     Returns ``(l_path, default_times, m1, m2)`` as ``(replications, ...)``
-    arrays.  The oracle for the prefetching kernel, which steps defaulted
-    firms too but reads nothing of theirs, and the
-    written form of RNG contract 3: one SFC64 stream per replication for
-    the firms (N thresholds, then N normals per step), the drift
-    ``(lbar - lam+) * (alpha dt)`` and the noise
-    ``sqrt(lam+) * (sigma sqrt(dt)) * Z``.
+    arrays.  The oracle for the block-drawing kernel, which steps defaulted
+    firms too but reads nothing of theirs, and the written form of RNG
+    contract 4: one SFC64 stream per replication for the firms (N
+    thresholds, then ceil(N / 64) raw words per step, firm i's increment
+    -1 where bit ``i % 64`` of word ``i // 64`` is set and +1 where it is
+    clear), the drift ``(lbar - lam+) * (alpha dt)`` and the noise
+    ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)``.
     """
     n, grid = config.n_firms, config.grid
     dt, sqdt = grid.dt, math.sqrt(grid.dt)
@@ -401,6 +407,8 @@ def reference_batch(config, replications):
     firm_rngs = [np.random.Generator(np.random.SFC64(stream(r, simulate_module._STREAM_FIRM)))
                  for r in replications]
     thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
+    firm = np.arange(n)
+    word_of, bit_of = firm // 64, (firm % 64).astype(np.uint64)
 
     gamma = config.factor.gamma
     ou_decay = math.exp(-gamma * dt)
@@ -424,7 +432,8 @@ def reference_batch(config, replications):
     # the non-finite case overflows on purpose; it is reported, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.n_steps):
-            z = np.stack([g.standard_normal(n) for g in firm_rngs])
+            words = np.stack([g.bit_generator.random_raw(-(-n // 64)) for g in firm_rngs])
+            z = np.where((words[:, word_of] >> bit_of) & np.uint64(1), -1.0, 1.0)
             if factor_active:
                 factor_z = np.array([g.standard_normal() for g in factor_rngs])
                 x_new = x * ou_decay + ou_scale * factor_z
@@ -458,15 +467,15 @@ def reference_batch(config, replications):
 
 # Atom A: constant intensity 0.05, no contagion; its firms default one at a
 # time, at random steps.  Atom B: zero intensity and sigma = 1e308, until A's
-# first default jumps it to 3.0.  On the next step each B firm's noise
-# term overflows where |Z| > 2.08; the other B firms default or go negative.
-# So a replication's first A default decides whether it turns non-finite.
+# first default jumps it by 16.  With dt = 0.25, B's noise coefficient
+# sigma sqrt(dt) = 5e307 is finite, so B stays at 0 before the jump; after
+# it, sqrt(16) * 5e307 overflows, so on the next step every B firm's
+# intensity becomes infinite, whatever the sign of its increment.  So each
+# replication turns non-finite one step after its first default.
 N_NONFINITE = 12
+NONFINITE_A = TypeAtom(FirmType(0.0, 0.0, 0.0, 0.0), 0.05, 0.5)
 NONFINITE_MEASURE = DiscreteTypeMeasure(
-    (
-        TypeAtom(FirmType(0.0, 0.0, 0.0, 0.0), 0.05, 0.5),
-        TypeAtom(FirmType(0.0, 0.0, 1e308, 3.0 * N_NONFINITE), 0.0, 0.5),
-    )
+    (NONFINITE_A, TypeAtom(FirmType(0.0, 0.0, 1e308, 16.0 * N_NONFINITE), 0.0, 0.5))
 )
 
 
@@ -489,9 +498,10 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("width", [1, 2, 6])
     def test_bit_identical_to_reference(self, monkeypatch, name, width):
-        # 77 steps: not a multiple of any buffer size, so the last block is partial
+        # 77 steps: not a multiple of the sign block, so the last block is partial
         config = make_config(grid=TimeGrid(1.0, 77), seed=11, record_moments=True,
                              **self.CASES[name])
+        assert 77 % simulate_module._SIGN_BLOCK != 0
         monkeypatch.setattr(simulate_module, "_CELL_BUDGET", width * config.n_firms)
         results = run_replications(config, 6).results
         l_path, default_times, m1, m2 = reference_batch(config, range(6))
@@ -503,123 +513,39 @@ class TestReferenceKernel:
             np.testing.assert_array_equal(moment_diagnostic(result, 1).values, m1[i])
             np.testing.assert_array_equal(moment_diagnostic(result, 2).values, m2[i])
 
-    @pytest.mark.parametrize("block, buffers", [(16, 10), (65, 3), (150, 1)])
-    def test_buffer_length_changes_no_bit(self, monkeypatch, block, buffers):
-        # one batch of 10 x 100 cells, whose half-buffer length the budget
-        # sets: 16 steps, 65 (what 1000 cells get by default) and the whole run
-        config = make_config(n_firms=100, measure=TWO_ATOMS, grid=TimeGrid(1.0, 150), seed=11,
-                             record_moments=True)
-        monkeypatch.setattr(simulate_module, "_CELL_BUDGET", block * 1000)
-        seen = count_buffers(monkeypatch)
-        results = run_replications(config, 10).results
-        assert seen == [buffers]
-        l_path, default_times, m1, m2 = reference_batch(config, range(10))
-        assert np.all(l_path[:, -1] > 0.0)
-        for i, result in enumerate(results):
-            np.testing.assert_array_equal(result.l_path.values, l_path[i])
-            np.testing.assert_array_equal(result.default_times, default_times[i])
-            np.testing.assert_array_equal(moment_diagnostic(result, 1).values, m1[i])
-            np.testing.assert_array_equal(moment_diagnostic(result, 2).values, m2[i])
-
-    def test_buffer_length_follows_cell_count(self, monkeypatch):
-        # max(16, _CELL_BUDGET // cells) steps, at most the whole run: 1000
-        # cells get 65 steps, 4096 and 20000 cells 16, and 7 cells all 130
-        seen = count_buffers(monkeypatch)
-        grid = TimeGrid(1.0, 130)
-        for n_firms, n_reps in ((100, 10), (4096, 1), (20_000, 1), (7, 1)):
-            run_replications(make_config(n_firms=n_firms, grid=grid), n_reps)
-        assert seen == [2, 9, 9, 1]
-
-    def test_nonfinite_after_compaction_names_the_cell(self, monkeypatch):
+    def test_nonfinite_after_compaction_names_the_cell(self):
+        # one batch of 3 x 12 cells: the error names the first live cell to
+        # turn non-finite by its place in the (replication, firm) grid
         config = make_config(n_firms=N_NONFINITE, measure=NONFINITE_MEASURE,
                              grid=TimeGrid(10.0, 40), seed=18)
-        # 16-step buffers for the one batch of 3 x 12 cells; replication 0
-        # loses firms before the first buffer boundary, and its defaulted
-        # cells are still stepped: the error names a live cell by its place
-        # in the (replication, firm) grid
-        monkeypatch.setattr(simulate_module, "_CELL_BUDGET", 16 * 3 * N_NONFINITE)
-        _, default_times, _, _ = reference_batch(config, range(1))
-        assert np.sum(default_times <= 16 * config.grid.dt) >= 1
         with pytest.raises(NonFiniteStateError) as expected:
             reference_batch(config, range(3))
         with pytest.raises(NonFiniteStateError) as err:
             run_replications(config, 3)
         got = (err.value.replication, err.value.firm, err.value.step)
         assert got == (expected.value.replication, expected.value.firm, expected.value.step)
-        assert got == (1, 11, 26)
-
-
-class TestHelperThread:
-    def test_thread_joined_after_return_and_after_raise(self):
-        before = threading.active_count()
-        run_replications(make_config(n_firms=50, measure=TWO_ATOMS), 3)
-        assert threading.active_count() == before
-        config = make_config(n_firms=N_NONFINITE, measure=NONFINITE_MEASURE,
-                             grid=TimeGrid(10.0, 40), seed=18)
-        with pytest.raises(NonFiniteStateError):
-            run_replications(config, 3)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("good_blocks", [0, 2])
-    def test_error_in_helper_reaches_caller(self, monkeypatch, good_blocks):
-        class BrokenNormals(np.random.Generator):
-            calls = 0
-
-            def standard_normal(self, *args, **kwargs):
-                BrokenNormals.calls += 1
-                if BrokenNormals.calls > good_blocks:
-                    raise MemoryError("no room for normals")
-                return super().standard_normal(*args, **kwargs)
-
-        # firm streams draw their thresholds here, their normals on the
-        # helper, one call per block of a single replication; 16-step
-        # buffers give 7 blocks over 100 steps
-        monkeypatch.setattr(np.random, "Generator", BrokenNormals)
-        monkeypatch.setattr(simulate_module, "_CELL_BUDGET", 16 * 20)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="no room for normals"):
-            simulate(make_config(n_firms=20, grid=TimeGrid(1.0, 100)))
-        assert threading.active_count() == before
-
-    def test_bits_hold_under_thread_contention(self):
-        # four runs at once (eight threads on fewer cores) with the
-        # interpreter switching threads as often as it can: a buffer read
-        # while the helper refills it would move a bit
-        config = make_config(n_firms=60, measure=TWO_ATOMS, grid=TimeGrid(1.0, 77), seed=11)
-        expected = reference_batch(config, range(6))[0]
-        paths = [None] * 4
-
-        def work(slot):
-            reps = run_replications(config, 6)
-            paths[slot] = np.stack([r.l_path.values for r in reps.results])
-
-        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for got in paths:
-            np.testing.assert_array_equal(got, expected)
+        replication, firm, step = got
+        assert firm >= N_NONFINITE // 2  # a B firm
+        # the named replication's first defaults came one step before: its
+        # streams without B's noise give the same A default times
+        calm = dataclasses.replace(config, measure=DiscreteTypeMeasure(
+            (NONFINITE_A, TypeAtom(FirmType(0.0, 0.0, 0.0, 16.0 * N_NONFINITE), 0.0, 0.5))))
+        l_path = reference_batch(calm, range(replication, replication + 1))[0][0]
+        assert int(np.argmax(l_path > 0.0)) == step - 1
 
 
 # sha256 of the L paths and default times, replication by replication, of
-# GOLDEN_CONFIG's three replications under RNG_CONTRACT 3.  If a change
+# GOLDEN_CONFIG's three replications under RNG_CONTRACT 4.  If a change
 # moves a simulated bit on purpose, bump RNG_CONTRACT and this digest.
-GOLDEN_SHA256 = "1c8727cd25f2fb342002eb2391df2733ab6711f379434477ba9f624dea061e33"
+GOLDEN_SHA256 = "79237851f4353c0e265b45563762ad3a563bafc62cf1570352b0326612290cc7"
 
 
-def test_rng_contract_3_bits_pinned():
+def test_rng_contract_4_bits_pinned():
     config = make_config(n_firms=50, measure=TWO_ATOMS, grid=TimeGrid(1.0, 100), seed=2024)
     assert config.factor.eps(50) != 0.0  # the factor term runs
     digest = hashlib.sha256()
     for result in run_replications(config, 3).results:
         digest.update(result.l_path.values.tobytes())
         digest.update(result.default_times.tobytes())
-    assert simulate_module.RNG_CONTRACT == 3
+    assert simulate_module.RNG_CONTRACT == 4
     assert digest.hexdigest() == GOLDEN_SHA256
