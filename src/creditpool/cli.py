@@ -27,9 +27,10 @@ import copy
 import errno
 import json
 import math
+import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from .errors import (
     bounded_repr,
     bounded_text,
 )
-from .limit import solve_limit
+from .limit import check_iteration, solve_limit
 from .model import (
     DiscreteTypeMeasure,
     EpsSchedule,
@@ -60,33 +61,18 @@ from .simulate import RNG_CONTRACT, SimConfig, moment_diagnostic, run_replicatio
 DEFAULT_CONFIG = {
     "measure": {
         "cap": 100.0,
-        "atoms": [
-            {
-                "alpha": 4.0,
-                "lambda_bar": 0.5,
-                "sigma": 0.9,
-                "beta_c": 2.0,
-                "beta_s": 0.0,
-                "lambda_init": 0.5,
-                "weight": 1.0,
-            }
-        ],
+        "atoms": [{"alpha": 4.0, "lambda_bar": 0.5, "sigma": 0.9,
+                   "beta_c": 2.0, "beta_s": 0.0,
+                   "lambda_init": 0.5, "weight": 1.0}],
     },
-    "factor": {"gamma": 1.0, "x_init": 0.0, "eps": {"kind": "inverse_sqrt", "value": 1.0}},
+    "factor": {"gamma": 1.0, "x_init": 0.0,
+               "eps": {"kind": "inverse_sqrt", "value": 1.0}},
     "grid": {"t_end": 1.0, "n_steps": 1000},
     "solver": {"tol": 1e-10, "max_iter": 200},
-    "sim": {
-        "n_firms": 10000,
-        "n_reps": 20,
-        "seed": 20260810,
-        "assignment": "proportional",
-        "record_moments": False,
-    },
+    "sim": {"n_firms": 10000, "n_reps": 20, "seed": 20260810,
+            "assignment": "proportional", "record_moments": False},
     "converge": {"n_values": [100, 1000, 10000], "n_reps": 20},
 }
-
-_FIRM_KEYS = ("alpha", "lambda_bar", "sigma", "beta_c", "beta_s")
-_ATOM_KEYS = {*_FIRM_KEYS, "lambda_init", "weight"}
 
 
 # ---------------------------------------------------------------------------
@@ -169,112 +155,79 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
     return config
 
 
-def _number(value, where: str) -> float:
-    """A JSON number as a float; never a boolean (float() reads it as 0 or 1) or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {bounded_repr(value)}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the double range
-        raise ConfigError(f"{where} is out of range, got {bounded_repr(value)}") from None
-
-
 # Ceiling of every size field (steps, firms, replications, pool sizes): far
 # beyond any run that fits in memory, and low enough that no array shape
-# or loop count built from it overflows.
+# or loop count built from it overflows.  ``key[]`` names each entry of a list.
 MAX_SIZE = 2**31 - 1
+SIZE_FIELDS = ("grid.n_steps", "sim.n_firms", "sim.n_reps", "converge.n_reps",
+               "converge.n_values[]")
 
 
-def _size(value, where: str) -> int:
-    """An integer (see :func:`whole_number`) no larger than :data:`MAX_SIZE`."""
-    n = whole_number(value, where)
-    if n > MAX_SIZE:
-        raise ConfigError(f"{where} must be <= {MAX_SIZE}, got {bounded_repr(value)}")
-    return n
+#: What a leaf of each type in DEFAULT_CONFIG must be, in JSON terms
+_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
+          float: "a number"}
 
 
-# One builder per section.  Each raises ConfigError for a field it checks
-# itself (ValueError from whole_number); the domain constructors raise
-# ValueError or ValidationError for the rules they own.
-
-
-def _measure(section: dict) -> DiscreteTypeMeasure:
-    cap = _number(section["cap"], "measure.cap")
-    if not (cap > 0.0 and math.isfinite(cap)):
-        raise ConfigError(f"measure.cap must be finite and > 0, got {cap!r}")
-    if not isinstance(section["atoms"], list):
-        raise ConfigError("measure.atoms must be a list of objects, "
-                          f"got {bounded_repr(section['atoms'])}")
-    atoms = []
-    for i, entry in enumerate(section["atoms"]):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"measure.atoms[{i}] must be an object")
-        unknown = set(entry) - _ATOM_KEYS
+def _typed(value, default, where: str):
+    """``value`` checked against the JSON kind of ``default``, its counterpart
+    in :data:`DEFAULT_CONFIG`, with each number made the default's float or int.
+    An object may hold any of the default's keys; each entry of a list is
+    checked like the default's first; an int leaf takes :func:`whole_number`'s
+    values, at most :data:`MAX_SIZE` in a size field."""
+    kind = type(default)
+    if kind is int:
+        n = whole_number(value, where)
+        key = re.sub(r"\[\d+\]", "[]", where)
+        if n > MAX_SIZE and key in SIZE_FIELDS:
+            raise ConfigError(f"{key} must be <= {MAX_SIZE}, got {bounded_repr(value)}")
+        return n
+    # Python counts a bool as a number; a config never does
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{where} must be {_KINDS[kind]}, got {bounded_repr(value)}")
+    if kind is dict:
+        unknown = set(value) - set(default)
         if unknown:
-            raise ConfigError(f"measure.atoms[{i}] has unknown keys: "
-                              f"{bounded_repr(sorted(unknown))}")
-        fields = {key: _number(value, f"measure.atoms[{i}].{key}")
-                  for key, value in entry.items()}
-        firm_type = FirmType(**{key: fields.get(key, 0.0) for key in _FIRM_KEYS})
-        atoms.append(TypeAtom(firm_type, lambda_init=fields.get("lambda_init", 0.0),
-                              weight=fields.get("weight", 1.0)))
-    return validate_measure(DiscreteTypeMeasure(atoms=tuple(atoms)), cap=cap)
+            raise ConfigError(f"{where} has unknown keys: {bounded_repr(sorted(unknown))}")
+        return {key: _typed(v, default[key], f"{where}.{key}") for key, v in value.items()}
+    if kind is list:
+        return [_typed(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the double range
+            raise ConfigError(f"{where} is out of range, got {bounded_repr(value)}") from None
+    return value
 
 
-def _factor(section: dict) -> SystematicFactorConfig:
-    eps = section["eps"]
-    return SystematicFactorConfig(
-        gamma=_number(section["gamma"], "factor.gamma"),
-        x_init=_number(section["x_init"], "factor.x_init"),
-        eps=EpsSchedule(kind=eps["kind"], value=_number(eps["value"], "factor.eps.value")),
-    )
+# The value rules that no domain constructor owns, each on a section typed
+# by _typed.
 
 
-def _grid(section: dict) -> TimeGrid:
-    return TimeGrid(t_end=_number(section["t_end"], "grid.t_end"),
-                    n_steps=_size(section["n_steps"], "grid.n_steps"))
+def _measure(cap: float, atoms: list[dict]) -> DiscreteTypeMeasure:
+    if not math.isfinite(cap):  # validate_measure takes an infinite cap
+        raise ConfigError(f"measure.cap must be finite, got {cap!r}")
+    measure = DiscreteTypeMeasure(atoms=tuple(
+        TypeAtom(FirmType(**{f.name: atom.get(f.name, 0.0) for f in fields(FirmType)}),
+                 lambda_init=atom.get("lambda_init", 0.0), weight=atom.get("weight", 1.0))
+        for atom in atoms))
+    return validate_measure(measure, cap=cap)
 
 
-def _solver(section: dict) -> tuple[float, int]:
-    tol = _number(section["tol"], "solver.tol")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"solver.tol must be finite and > 0, got {tol!r}")
-    max_iter = whole_number(section["max_iter"], "solver.max_iter")
-    if max_iter < 1:
-        raise ConfigError("solver.max_iter must be >= 1")
-    return tol, max_iter
+def _solver(tol: float, max_iter: int) -> dict:
+    try:
+        check_iteration(tol, max_iter)
+    except ValueError as exc:  # it names the argument, tol or max_iter
+        raise ConfigError(f"solver.{exc}") from None
+    return {"tol": tol, "max_iter": max_iter}
 
 
-def _sim(section: dict, measure, factor, grid) -> tuple[SimConfig, int]:
-    if not isinstance(section["record_moments"], bool):
-        raise ConfigError("sim.record_moments must be true or false")
-    n_reps = _size(section["n_reps"], "sim.n_reps")
-    if n_reps < 1:
-        raise ConfigError("sim.n_reps must be >= 1")
-    # SimConfig checks n_firms, seed and assignment; it does not look at
-    # the measure, factor or grid, so a broken one (None) still lets it run
-    sim = SimConfig(
-        n_firms=_size(section["n_firms"], "sim.n_firms"),
-        measure=measure,
-        factor=factor,
-        grid=grid,
-        seed=whole_number(section["seed"], "sim.seed"),
-        assignment=section["assignment"],
-        record_moments=section["record_moments"],
-    )
-    return sim, n_reps
-
-
-def _converge(section: dict) -> tuple[tuple[int, ...], int]:
-    if not isinstance(section["n_values"], list) or not section["n_values"]:
-        raise ConfigError("converge.n_values must be a non-empty list of pool sizes")
-    n_values = tuple(_size(n, "converge.n_values[]") for n in section["n_values"])
-    if min(n_values) < 1:
-        raise ConfigError("converge.n_values must all be >= 1")
-    n_reps = _size(section["n_reps"], "converge.n_reps")
+def _converge(n_values: list[int], n_reps: int) -> dict:
+    if not n_values or min(n_values) < 1:
+        raise ConfigError("converge.n_values must be a non-empty list of pool sizes >= 1")
     if n_reps < 2:
         raise ConfigError("converge.n_reps must be >= 2")
-    return n_values, n_reps
+    return {"n_values": tuple(n_values), "converge_reps": n_reps}
 
 
 @dataclass(frozen=True)
@@ -292,14 +245,16 @@ class RunConfig:
 def resolve_config(config: dict) -> RunConfig:
     """Check every section of a loaded config, whichever command will run.
 
-    A broken section is recorded and the rest are still checked, so the one
-    :class:`ValidationError` raised names every broken section.
+    Each section is typed by :func:`_typed`, then built by the domain
+    constructors.  A broken section is recorded and the rest are still
+    checked, so the one :class:`ValidationError` raised names every broken
+    section.
     """
     violations: list[Violation] = []
 
-    def checked(name: str, build, *args):
+    def checked(name: str, build):
         try:
-            return build(config[name], *args)
+            return build(**_typed(config[name], DEFAULT_CONFIG[name], name))
         except ValidationError as exc:
             violations.extend(Violation(v.code, f"{name}.{v.where}", v.message)
                               for v in exc.violations)
@@ -307,16 +262,24 @@ def resolve_config(config: dict) -> RunConfig:
             violations.append(Violation("INVALID_VALUE", name, str(exc)))
         return None
 
+    def sim_section(n_reps: int, **rest) -> dict:
+        if n_reps < 1:
+            raise ConfigError("sim.n_reps must be >= 1")
+        # SimConfig does not look at the measure, factor or grid, so a
+        # broken one (None) still lets it check the sim section
+        return {"sim": SimConfig(measure=measure, factor=factor, grid=grid, **rest),
+                "sim_reps": n_reps}
+
     measure = checked("measure", _measure)
-    factor = checked("factor", _factor)
-    grid = checked("grid", _grid)
+    factor = checked("factor", lambda eps, **rest: SystematicFactorConfig(
+        eps=EpsSchedule(**eps), **rest))
+    grid = checked("grid", TimeGrid)
     solver = checked("solver", _solver)
-    sim = checked("sim", _sim, measure, factor, grid)
+    sim = checked("sim", sim_section)
     converge = checked("converge", _converge)
     if violations:
         raise ValidationError(violations)
-    return RunConfig(sim=sim[0], sim_reps=sim[1], tol=solver[0], max_iter=solver[1],
-                     n_values=converge[0], converge_reps=converge[1])
+    return RunConfig(**sim, **solver, **converge)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,8 @@ def lln_experiment(
     """
     if n_reps < 2:
         raise ValueError("need at least 2 replications per pool size")
+    if not n_values:
+        raise ValueError("need at least one pool size")
     if any(n < 1 for n in n_values):
         raise ValueError("pool sizes must be >= 1")
     if limit is None:

@@ -181,7 +181,7 @@ def solve_q(
     values below -tol (the limit forcing is provably nonnegative, so
     anything materially negative is a bug, not round-off).
     """
-    _check_iteration(tol, max_iter)
+    check_iteration(tol, max_iter)
     kern = _AtomKernels(measure, riccati, grid)
     contagion = kern.weight * kern.beta_c
     q = np.zeros(grid.n_points)
@@ -224,11 +224,12 @@ def solve_q(
     )
 
 
-def _check_iteration(tol: float, max_iter: int) -> None:
+def check_iteration(tol: float, max_iter: int) -> None:
+    """The stopping rule of every fixed-point solve: a finite ``tol`` > 0 and ``max_iter`` >= 1."""
     if not (tol > 0.0 and np.isfinite(tol)):
-        raise ValueError("tol must be finite and > 0")
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -276,7 +277,7 @@ def solve_homogeneous_f(
     self-reference and the first sweep already lands on the explicit
     contagion-free formula.
     """
-    _check_iteration(tol, max_iter)
+    check_iteration(tol, max_iter)
     ric = solve_riccati(firm_type, grid)
     b = ric.b.values
     b_dot = ric.b_dot.values

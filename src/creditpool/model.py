@@ -273,8 +273,11 @@ def validate_measure(measure: DiscreteTypeMeasure, cap: float = DEFAULT_CAP) -> 
     """Check every atom against sign/finiteness/cap bounds and the weight sum.
 
     Returns the measure unchanged if valid; raises :class:`ValidationError`
-    listing *every* violation otherwise.
+    listing *every* violation otherwise.  A ``cap`` that is NaN or <= 0 is
+    the one violation reported; ``math.inf`` bounds nothing.
     """
+    if not cap > 0.0:
+        raise ValidationError([Violation("INVALID_VALUE", "cap", f"must be > 0, got {cap!r}")])
     violations: list[Violation] = []
     for i, atom in enumerate(measure.atoms):
         _check_atom(atom, cap, f"atoms[{i}]", violations)

@@ -217,6 +217,10 @@ class TestSimulateCommand:
         ("grid.t_end=true", "grid.t_end"),
         ("factor.gamma=null", "factor.gamma"),
         ("grid.t_end=null", "grid.t_end"),
+        ("factor.eps.kind=5", "factor.eps.kind"),
+        ("sim.assignment=[1]", "sim.assignment"),
+        ("sim.record_moments=1", "sim.record_moments"),
+        ("converge.n_values=5", "converge.n_values"),
     ])
     def test_non_number_rejected(self, tmp_path, capsys, override, where):
         # float(True) is 1.0, so a boolean ran to exit 0; float(None) escaped
@@ -571,6 +575,15 @@ def test_readme_configuration_block_is_the_default_config():
     section = readme.split("### Configuration", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
     assert json.loads(block) == DEFAULT_CONFIG
+
+
+def test_readme_size_sentence_names_the_size_fields():
+    # "each `key` entry" names the entries of a list, which the check calls key[]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"Size fields \((.*?)\)", readme, re.DOTALL).group(1)
+    named = {name + "[]" if each else name
+             for each, name in re.findall(r"(each )?`([^`]+)`", sentence)}
+    assert named == set(cli_module.SIZE_FIELDS)
 
 
 # Fuzz: one leaf of a tiny config replaced by a value of another kind; every

@@ -66,6 +66,11 @@ class TestLlnExperiment:
         with pytest.raises(ValueError):
             lln_experiment(CONSTANT_INTENSITY, factor, grid, [0], n_reps=2, seed=1)
 
+    def test_empty_pool_ladder_rejected(self, factor):
+        # this solved the limit and returned a report with no cells
+        with pytest.raises(ValueError, match="pool size"):
+            lln_experiment(CONSTANT_INTENSITY, factor, TimeGrid(1.0, 100), [], n_reps=2, seed=1)
+
     @pytest.fixture
     def no_simulation(self, monkeypatch):
         def fail(*args, **kwargs):

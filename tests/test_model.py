@@ -80,6 +80,17 @@ class TestValidateMeasure:
         with pytest.raises(ValidationError):
             validate_measure(m)
 
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
+    def test_nan_or_nonpositive_cap_is_the_one_violation(self, cap):
+        # NaN turned every cap check off; a cap <= 0 gave a CAP_EXCEEDED per field
+        with pytest.raises(ValidationError) as err:
+            validate_measure(DiscreteTypeMeasure((atom(),)), cap=cap)
+        assert [(v.code, v.where) for v in err.value.violations] == [("INVALID_VALUE", "cap")]
+
+    def test_infinite_cap_bounds_nothing(self):
+        m = DiscreteTypeMeasure((atom(alpha=1e300, lambda_init=1e300),))
+        assert validate_measure(m, cap=math.inf) is m
+
     def test_empty_measure_unconstructible(self):
         with pytest.raises(ValueError):
             DiscreteTypeMeasure(())
