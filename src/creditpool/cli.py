@@ -40,6 +40,7 @@ from .convergence import figure_sweep, lln_experiment
 from .errors import (
     ConfigError,
     CreditPoolError,
+    FieldError,
     ValidationError,
     Violation,
     bounded_repr,
@@ -214,11 +215,16 @@ def _measure(cap: float, atoms: list[dict]) -> DiscreteTypeMeasure:
     return validate_measure(measure, cap=cap)
 
 
-def _solver(tol: float, max_iter: int) -> dict:
+def _factor(eps: dict, **rest) -> SystematicFactorConfig:
     try:
-        check_iteration(tol, max_iter)
-    except ValueError as exc:  # it names the argument, tol or max_iter
-        raise ConfigError(f"solver.{exc}") from None
+        schedule = EpsSchedule(**eps)
+    except FieldError as exc:  # it names its own field, under factor.eps
+        raise FieldError(f"eps.{exc.field}", exc.reason) from None
+    return SystematicFactorConfig(eps=schedule, **rest)
+
+
+def _solver(tol: float, max_iter: int) -> dict:
+    check_iteration(tol, max_iter)
     return {"tol": tol, "max_iter": max_iter}
 
 
@@ -258,6 +264,8 @@ def resolve_config(config: dict) -> RunConfig:
         except ValidationError as exc:
             violations.extend(Violation(v.code, f"{name}.{v.where}", v.message)
                               for v in exc.violations)
+        except FieldError as exc:  # a domain constructor names the field
+            violations.append(Violation("INVALID_VALUE", f"{name}.{exc.field}", exc.reason))
         except (ConfigError, ValueError) as exc:
             violations.append(Violation("INVALID_VALUE", name, str(exc)))
         return None
@@ -271,8 +279,7 @@ def resolve_config(config: dict) -> RunConfig:
                 "sim_reps": n_reps}
 
     measure = checked("measure", _measure)
-    factor = checked("factor", lambda eps, **rest: SystematicFactorConfig(
-        eps=EpsSchedule(**eps), **rest))
+    factor = checked("factor", _factor)
     grid = checked("grid", TimeGrid)
     solver = checked("solver", _solver)
     sim = checked("sim", sim_section)

@@ -26,6 +26,17 @@ def bounded_repr(value) -> str:
         return f"a {type(value).__name__} nested too deeply to show"
 
 
+class FieldError(ValueError):
+    """A constructor argument outside its domain: ``field`` names the
+    argument, ``reason`` says what it must be.  A caller that knows where
+    the value came from, such as a config path, puts that before ``field``."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field} {reason}")
+
+
 class CreditPoolError(Exception):
     """Base class for all toolkit errors."""
 

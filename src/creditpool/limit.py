@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonFiniteResultError
+from .errors import FieldError, NoConvergenceError, NonFiniteResultError
 from .model import DiscreteTypeMeasure, FirmType, TimeGrid, Trajectory
 from .quadrature import TrapezoidKernel, conv_simpson, prefix_trapezoid
 from .quadrature import conv_trapezoid  # noqa: F401 - perfbench patches it here
@@ -227,9 +227,9 @@ def solve_q(
 def check_iteration(tol: float, max_iter: int) -> None:
     """The stopping rule of every fixed-point solve: a finite ``tol`` > 0 and ``max_iter`` >= 1."""
     if not (tol > 0.0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        raise FieldError("tol", f"must be finite and > 0, got {tol!r}")
     if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+        raise FieldError("max_iter", f"must be >= 1, got {max_iter!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, Violation, bounded_repr
+from .errors import FieldError, ValidationError, Violation, bounded_repr
 
 #: Default bound on every parameter and initial intensity.  The model
 #: requires *some* finite bound; the value is a configuration choice.
@@ -135,10 +135,10 @@ class EpsSchedule:
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
-            raise ValueError(f"eps schedule kind must be one of {self._KINDS}")
+            raise FieldError("kind", f"must be one of {self._KINDS}, got {bounded_repr(self.kind)}")
         object.__setattr__(self, "value", float(self.value))
         if not (self.value >= 0.0 and math.isfinite(self.value)):
-            raise ValueError("eps schedule value must be finite and >= 0")
+            raise FieldError("value", f"must be finite and >= 0, got {self.value!r}")
 
     def __call__(self, n_firms: int) -> float:
         if self.kind == "zero":
@@ -165,9 +165,9 @@ class SystematicFactorConfig:
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "x_init", float(self.x_init))
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError("factor reversion speed gamma must be finite and > 0")
+            raise FieldError("gamma", f"must be finite and > 0, got {self.gamma!r}")
         if not math.isfinite(self.x_init):
-            raise ValueError("factor initial level must be finite")
+            raise FieldError("x_init", f"must be finite, got {self.x_init!r}")
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,9 @@ class TimeGrid:
         object.__setattr__(self, "t_end", float(self.t_end))
         object.__setattr__(self, "n_steps", whole_number(self.n_steps, "n_steps"))
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
-            raise ValueError("t_end must be finite and > 0")
+            raise FieldError("t_end", f"must be finite and > 0, got {self.t_end!r}")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise FieldError("n_steps", f"must be >= 1, got {self.n_steps!r}")
 
     @property
     def dt(self) -> float:

@@ -23,8 +23,20 @@ step is one pass of numpy operations over it.
 A defaulted firm's threshold becomes NaN, which no integrated intensity
 reaches; the firm keeps its cell and is stepped, unread, to the end of the
 run.  The signs are drawn on the calling thread, with no helper, into
-one buffer of ``_SIGN_BLOCK`` steps: one generator call per replication
-and block, and memory O(batch cells), not O(N * n_steps).
+one block of ``_SIGN_BLOCK`` steps held as int8 +-1: one generator call
+per replication and block, and memory O(batch cells), not O(N * n_steps).
+
+Memory per cell (one replication x firm): eleven float64 rows (four
+per-firm constants, intensity, integrated intensity, threshold, default
+time and three step rows), a twelfth for the exposure when the factor is
+on, a one-byte hit flag and the 16-byte sign block, 105 or 113 bytes;
+while the next block is unpacked the traced peak reads 123-132 bytes at
+1e3 to 1e5 firms (README "Memory" bounds it by 170), and recorded
+moments add 8-11 more.  In smaller pools the per-replication state
+(generators, step-indexed paths) adds to that: 182 bytes a cell at 100
+firms x 10 replications of 200 steps.  Neither the sign dtype nor the
+block length moves an output bit: the signs are exactly +-1.0 in the
+product.
 
 Reproducibility (``RNG_CONTRACT`` 4): replication r of seed s draws its
 firm noise from one SFC64 stream seeded by ``(s, r)``: N
@@ -45,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MomentsNotRecordedError, NonFiniteStateError
+from .errors import FieldError, MomentsNotRecordedError, NonFiniteStateError, bounded_repr
 from .model import (
     DiscreteTypeMeasure,
     SystematicFactorConfig,
@@ -70,13 +82,15 @@ _STREAM_ASSIGN = 2
 # Replications x firms stepped together.  Small pools share a batch, so
 # per-step interpreter overhead is paid once for many replications; the
 # cap bounds a batch's memory, whose per-cell state keeps every firm,
-# defaulted or not, for the whole run.  Part of no contract: a
-# replication's draws do not depend on its batch.
+# defaulted or not, for the whole run: 131 bytes a cell at this size, so
+# 8.6 MB a batch.  Part of no contract: a replication's draws do not
+# depend on its batch.
 _CELL_BUDGET = 1 << 16
 
 # Steps of firm signs drawn at once: one generator call per replication
-# and block instead of per step, into a buffer of _SIGN_BLOCK doubles per
-# cell.  Part of no contract either.
+# and block instead of per step, into a block of _SIGN_BLOCK int8 signs,
+# 16 bytes, per cell.  Part of no contract either: neither the block
+# length nor the sign dtype moves a bit.
 _SIGN_BLOCK = 16
 
 
@@ -96,11 +110,12 @@ class SimConfig:
         object.__setattr__(self, "n_firms", whole_number(self.n_firms, "n_firms"))
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if self.n_firms < 1:
-            raise ValueError("n_firms must be >= 1")
+            raise FieldError("n_firms", f"must be >= 1, got {self.n_firms!r}")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise FieldError("seed", f"must be a nonnegative integer, got {self.seed!r}")
         if self.assignment not in ASSIGNMENTS:
-            raise ValueError(f"assignment must be one of {ASSIGNMENTS}")
+            raise FieldError("assignment", f"must be one of {ASSIGNMENTS}, "
+                                           f"got {bounded_repr(self.assignment)}")
 
 
 @dataclass(frozen=True)
@@ -192,17 +207,16 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     lbar = per_cell([a.firm_type.lambda_bar for a in atoms])
     sigma_sqdt = per_cell([a.firm_type.sigma * sqdt for a in atoms])
     beta_c = per_cell([a.firm_type.beta_c for a in atoms])
-    exposure = eps * per_cell([a.firm_type.beta_s for a in atoms])
+    exposure = eps * per_cell([a.firm_type.beta_s for a in atoms]) if factor_active else None
     lam = per_cell([a.lambda_init for a in atoms])
+    del atom_idx
     integrated = np.zeros(shape)
     thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
-    lam_plus, next_plus, incr, term = np.empty((4, width, n))
+    lam_plus, incr, term = np.empty((3, width, n))
     hit = np.empty(shape, dtype=bool)
 
-    # the firm signs and factor normals of one block of steps
-    block = min(_SIGN_BLOCK, n_steps)
-    signs = np.empty((width, block, n))
-    factor_normals = np.empty((width, block))
+    # the factor normals of one block of steps
+    factor_normals = np.empty((width, min(_SIGN_BLOCK, n_steps)))
 
     counts = np.zeros((width, n_steps + 1), dtype=np.int64)  # defaults per step
     default_times = np.full(shape, np.nan)
@@ -221,14 +235,16 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
         if config.record_moments:
             record(0)
         np.maximum(lam, 0.0, out=lam_plus)
-        for start in range(0, n_steps, block):
-            count = min(block, n_steps - start)
+        for start in range(0, n_steps, _SIGN_BLOCK):
+            count = min(_SIGN_BLOCK, n_steps - start)
             # per replication and step ceil(N / 64) words, read as
-            # little-endian bytes on any host; a set bit is -1, a clear one +1
+            # little-endian bytes on any host; a set bit is -1, a clear one +1,
+            # mapped in place as one byte per sign
             words = np.stack([g.bit_generator.random_raw((count, -(-n // 64))) for g in firm_rngs])
-            bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=2,
-                                 bitorder="little")[:, :, :n]
-            np.subtract(1.0, bits + bits, out=signs[:, :count])
+            signs = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=2,
+                                  bitorder="little")[:, :, :n].view(np.int8)
+            signs *= -2
+            signs += 1
             for g, out in zip(factor_rngs, factor_normals):
                 g.standard_normal(count, out=out[:count])
 
@@ -237,8 +253,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             #          + exposure lam+ dx,
             #   integrated += dt/2 (lam+ + max(lam, 0)),
             # each product taken in the order written, so the bits match
-            # the formula evaluated term by term.  The new max(lam, 0) is
-            # the next step's lam+ unless a default jump moves lam.
+            # the formula evaluated term by term (an int8 sign casts to
+            # exactly +-1.0).  The new max(lam, 0) goes into incr, free once
+            # lam has taken it, and swaps in as the next step's lam+ unless
+            # a default jump moves lam.
             for j in range(count):
                 k = start + j
                 np.subtract(lbar, lam_plus, out=incr)
@@ -262,11 +280,11 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     if bad.size:
                         r, firm = divmod(int(bad[0]), n)
                         raise NonFiniteStateError(replications[r], firm, k + 1)
-                np.maximum(lam, 0.0, out=next_plus)
-                np.add(next_plus, lam_plus, out=term)
+                np.maximum(lam, 0.0, out=incr)
+                np.add(incr, lam_plus, out=term)
                 term *= half_dt
                 integrated += term
-                lam_plus, next_plus = next_plus, lam_plus
+                lam_plus, incr = incr, lam_plus
 
                 np.greater_equal(integrated, thresholds, out=hit)
                 newly = hit.ravel().nonzero()[0]  # np.flatnonzero, minus its call overhead

@@ -229,6 +229,23 @@ class TestSimulateCommand:
         assert code == 2
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        'factor.eps.kind="bad"',
+        "factor.eps.value=-1",
+        "factor.gamma=-1",
+        "grid.t_end=-1",
+        "grid.n_steps=0",
+        'sim.assignment="x"',
+        "sim.seed=-5",
+        "sim.n_firms=0",
+    ])
+    def test_domain_rejection_names_the_path(self, tmp_path, capsys, override):
+        # the value is of the right kind, so a domain constructor rejects it;
+        # the message named only the section ("INVALID_VALUE at factor: ...")
+        code = main(["limit", "--out", str(tmp_path), "--set", override])
+        assert code == 2
+        assert f"INVALID_VALUE at {override.split('=')[0]}: " in capsys.readouterr().err
+
     def test_single_firm_pool_levels(self, tmp_path):
         code = main(
             ["simulate", "--out", str(tmp_path), "--set", "sim.n_firms=1",

@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +191,46 @@ class TestPathStructure:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+    @pytest.mark.parametrize("n_firms, n_reps, measure", [
+        (100_000, 1, None),
+        (1_000, 10, None),
+        (10_000, 2, TWO_ATOMS),  # the factor term runs
+    ], ids=["1e5x1", "1e3x10", "1e4x2-factor"])
+    def test_bytes_per_cell(self, n_firms, n_reps, measure):
+        """README "Memory": a batch peaks under BYTES_PER_CELL bytes per cell,
+        one replication x firm, without recorded moments; that figure is
+        this bound."""
+        config = make_config(n_firms=n_firms, measure=measure, grid=TimeGrid(1.0, 200))
+        assert traced_peak(config, n_reps) / (n_firms * n_reps) < BYTES_PER_CELL
+
+    def test_readme_states_the_bytes_per_cell_bound(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        assert f"under {BYTES_PER_CELL} bytes per cell" in " ".join(readme.split())
+
+    def test_peak_does_not_grow_with_steps(self):
+        # memory is O(cells), not O(cells x steps)
+        short, long = (traced_peak(make_config(n_firms=10_000, measure=TWO_ATOMS,
+                                               grid=TimeGrid(1.0, n_steps)), 2)
+                       for n_steps in (100, 1000))
+        assert abs(long / short - 1.0) < 0.05
+
+
+# README "Memory" states this figure
+BYTES_PER_CELL = 170
+
+
+def traced_peak(config, n_reps):
+    """tracemalloc's peak in bytes over ``run_replications(config, n_reps)``,
+    after a tiny run has paid the one-off costs: the first ``np.quantile``
+    imports ``numpy.ma``, about 1.5 MB whatever the pool size."""
+    run_replications(make_config(n_firms=2, grid=TimeGrid(1.0, 2)), 2)
+    tracemalloc.start()
+    try:
+        run_replications(config, n_reps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestOracles:
@@ -493,6 +534,10 @@ class TestReferenceKernel:
         # steps defaulted firms only
         "all-default": dict(n_firms=40, measure=homogeneous_measure(
             FirmType(1.0, 20.0, 0.9, 2.0), 20.0)),
+        # exposed atoms with the factor switched off: no step may read an
+        # exposure
+        "factor-off": dict(n_firms=60, measure=TWO_ATOMS,
+                           factor=SystematicFactorConfig(eps=EpsSchedule("zero"))),
     }
 
     @pytest.mark.parametrize("name", CASES)
