@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convergence import figure_sweep, lln_experiment
+from .convergence import check_ladder, figure_sweep, lln_experiment
 from .errors import (
     ConfigError,
     CreditPoolError,
@@ -208,9 +208,11 @@ def _typed(value, default, where: str):
 def _measure(cap: float, atoms: list[dict]) -> DiscreteTypeMeasure:
     if not math.isfinite(cap):  # validate_measure takes an infinite cap
         raise ConfigError(f"measure.cap must be finite, got {cap!r}")
+    # a key that an atom omits takes its value from the default atom
+    atoms = [{**DEFAULT_CONFIG["measure"]["atoms"][0], **atom} for atom in atoms]
     measure = DiscreteTypeMeasure(atoms=tuple(
-        TypeAtom(FirmType(**{f.name: atom.get(f.name, 0.0) for f in fields(FirmType)}),
-                 lambda_init=atom.get("lambda_init", 0.0), weight=atom.get("weight", 1.0))
+        TypeAtom(FirmType(**{f.name: atom[f.name] for f in fields(FirmType)}),
+                 lambda_init=atom["lambda_init"], weight=atom["weight"])
         for atom in atoms))
     return validate_measure(measure, cap=cap)
 
@@ -229,10 +231,7 @@ def _solver(tol: float, max_iter: int) -> dict:
 
 
 def _converge(n_values: list[int], n_reps: int) -> dict:
-    if not n_values or min(n_values) < 1:
-        raise ConfigError("converge.n_values must be a non-empty list of pool sizes >= 1")
-    if n_reps < 2:
-        raise ConfigError("converge.n_reps must be >= 2")
+    check_ladder(n_values, n_reps)
     return {"n_values": tuple(n_values), "converge_reps": n_reps}
 
 
@@ -272,7 +271,7 @@ def resolve_config(config: dict) -> RunConfig:
 
     def sim_section(n_reps: int, **rest) -> dict:
         if n_reps < 1:
-            raise ConfigError("sim.n_reps must be >= 1")
+            raise FieldError("n_reps", f"must be >= 1, got {n_reps!r}")
         # SimConfig does not look at the measure, factor or grid, so a
         # broken one (None) still lets it check the sim section
         return {"sim": SimConfig(measure=measure, factor=factor, grid=grid, **rest),

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import FieldError, bounded_repr
 from .limit import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -70,6 +71,16 @@ class ConvergenceReport:
         return tuple(c.n_firms for c in self.cells)
 
 
+def check_ladder(n_values: list[int], n_reps: int) -> None:
+    """The rules of every pool-size ladder: at least one pool size, each
+    >= 1, and ``n_reps`` >= 2 replications per size."""
+    if not n_values or min(n_values) < 1:
+        raise FieldError("n_values", f"must be a non-empty list of pool sizes >= 1, "
+                                     f"got {bounded_repr(n_values)}")
+    if n_reps < 2:
+        raise FieldError("n_reps", f"must be >= 2, got {n_reps!r}")
+
+
 def lln_experiment(
     measure: DiscreteTypeMeasure,
     factor: SystematicFactorConfig,
@@ -89,12 +100,7 @@ def lln_experiment(
     statistics); per replication the distance is the max over grid points
     of |simulated default rate - limit|.
     """
-    if n_reps < 2:
-        raise ValueError("need at least 2 replications per pool size")
-    if not n_values:
-        raise ValueError("need at least one pool size")
-    if any(n < 1 for n in n_values):
-        raise ValueError("pool sizes must be >= 1")
+    check_ladder(n_values, n_reps)
     if limit is None:
         limit = solve_limit(measure, grid, tol=tol, max_iter=max_iter)
     elif limit.grid != grid or limit.measure != measure:

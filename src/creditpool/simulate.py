@@ -21,22 +21,21 @@ step is one pass of numpy operations over it.
 :func:`run_replications` cuts its replications into batches of
 ``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
 A defaulted firm's threshold becomes NaN, which no integrated intensity
-reaches; the firm keeps its cell and is stepped, unread, to the end of the
-run.  The signs are drawn on the calling thread, with no helper, into
-one block of ``_SIGN_BLOCK`` steps held as int8 +-1: one generator call
-per replication and block, and memory O(batch cells), not O(N * n_steps).
+reaches, and its step coefficients become zero; the firm keeps its cell to
+the end of the run, its intensity held at its value at default.  The
+signs are drawn on the calling thread, with no helper, into one block of
+``_SIGN_BLOCK`` steps held as int8 +-1: one generator call per
+replication and block, and memory O(batch cells), not O(N * n_steps).
 
 Memory per cell (one replication x firm): eleven float64 rows (four
-per-firm constants, intensity, integrated intensity, threshold, default
+per-firm coefficients, intensity, integrated intensity, threshold, default
 time and three step rows), a twelfth for the exposure when the factor is
-on, a one-byte hit flag and the 16-byte sign block, 105 or 113 bytes;
-while the next block is unpacked the traced peak reads 123-132 bytes at
-1e3 to 1e5 firms (README "Memory" bounds it by 170), and recorded
-moments add 8-11 more.  In smaller pools the per-replication state
-(generators, step-indexed paths) adds to that: 182 bytes a cell at 100
-firms x 10 replications of 200 steps.  Neither the sign dtype nor the
-block length moves an output bit: the signs are exactly +-1.0 in the
-product.
+on, a one-byte hit flag and the 16-byte sign block.  Recorded moments
+add only their two step-indexed rows per replication, and smaller pools
+add their per-replication state (generators, step-indexed paths).
+README "Memory" gives the measured bytes per cell.  Neither the sign
+dtype nor the block length moves an output bit: the signs are exactly
++-1.0 in the product.
 
 Reproducibility (``RNG_CONTRACT`` 4): replication r of seed s draws its
 firm noise from one SFC64 stream seeded by ``(s, r)``: N
@@ -81,10 +80,9 @@ _STREAM_ASSIGN = 2
 
 # Replications x firms stepped together.  Small pools share a batch, so
 # per-step interpreter overhead is paid once for many replications; the
-# cap bounds a batch's memory, whose per-cell state keeps every firm,
-# defaulted or not, for the whole run: 131 bytes a cell at this size, so
-# 8.6 MB a batch.  Part of no contract: a replication's draws do not
-# depend on its batch.
+# cap bounds a batch's memory, whose per-cell state (the module docstring
+# lists it) keeps every firm, defaulted or not, for the whole run.  Part
+# of no contract: a replication's draws do not depend on its batch.
 _CELL_BUDGET = 1 << 16
 
 # Steps of firm signs drawn at once: one generator call per replication
@@ -201,7 +199,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
 
     # One (width, N) array per quantity, replication by firm, for the whole
     # run.  A defaulted firm's threshold is NaN, which no integrated
-    # intensity reaches; the firm is still stepped, but no output reads it.
+    # intensity reaches; the firm is still stepped, with zero coefficients.
     shape = (width, n)
     alpha_dt = per_cell([a.firm_type.alpha * dt for a in atoms])
     lbar = per_cell([a.firm_type.lambda_bar for a in atoms])
@@ -221,20 +219,19 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     counts = np.zeros((width, n_steps + 1), dtype=np.int64)  # defaults per step
     default_times = np.full(shape, np.nan)
     if config.record_moments:
-        # every firm's latest intensity; a defaulted firm's stays frozen
-        frozen = lam.copy()
         m1 = np.empty((width, n_steps + 1))
         m2 = np.empty((width, n_steps + 1))
 
         def record(k: int) -> None:
-            pos = np.maximum(frozen, 0.0)
-            m1[:, k] = pos.mean(axis=1)
-            m2[:, k] = np.mean(pos * pos, axis=1)
+            # lam_plus is max(lam, 0), a defaulted firm's held at default;
+            # term is free between steps
+            m1[:, k] = lam_plus.mean(axis=1)
+            m2[:, k] = np.multiply(lam_plus, lam_plus, out=term).mean(axis=1)
 
     with np.errstate(over="ignore", invalid="ignore"):
+        np.maximum(lam, 0.0, out=lam_plus)
         if config.record_moments:
             record(0)
-        np.maximum(lam, 0.0, out=lam_plus)
         for start in range(0, n_steps, _SIGN_BLOCK):
             count = min(_SIGN_BLOCK, n_steps - start)
             # per replication and step ceil(N / 64) words, read as
@@ -276,7 +273,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 # any NaN or inf makes the sum non-finite; an overflowing sum
                 # of finite values only costs a search that finds nothing
                 if not math.isfinite(np.add.reduce(lam, axis=None)):
-                    bad = np.flatnonzero((thresholds == thresholds) & ~np.isfinite(lam))
+                    bad = np.flatnonzero(~np.isfinite(lam))
                     if bad.size:
                         r, firm = divmod(int(bad[0]), n)
                         raise NonFiniteStateError(replications[r], firm, k + 1)
@@ -293,18 +290,20 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     counts[:, k + 1] = d
                     thresholds.flat[newly] = np.nan
                     default_times.flat[newly] = (k + 1) * dt
-                    if config.record_moments:
-                        frozen.flat[newly] = lam.flat[newly]
+                    # a defaulted firm's coefficients go to zero, so from
+                    # here on its intensity holds its value at default
+                    for coefficient in (alpha_dt, sigma_sqdt, beta_c, exposure):
+                        if coefficient is not None:
+                            coefficient.flat[newly] = 0.0
                     # one batched jump: d defaults each contribute beta_c / N
-                    # (defaulted firms jump too, but nothing reads them)
                     np.multiply(d[:, None], beta_c, out=term)
                     term /= n
                     lam += term
                     np.maximum(lam, 0.0, out=lam_plus)
 
                 if config.record_moments:
-                    np.copyto(frozen, lam, where=thresholds == thresholds)
                     record(k + 1)
+            del signs  # before the next block is unpacked
 
     if config.record_moments:
         bad = ~(np.isfinite(m1) & np.isfinite(m2)).T  # (step, replication)
@@ -378,7 +377,7 @@ def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
 def moment_diagnostic(result: SimResult, p: int) -> Trajectory:
     """Recorded path of the pool-average p-th power of the intensity.
 
-    Dead firms contribute their frozen value; a blow-up of this path flags
+    Dead firms contribute their value at default; a blow-up of this path flags
     an unstable discretization.  Only p = 1 and p = 2 are recorded.
     """
     if result.intensity_moment_paths is None:

@@ -238,10 +238,14 @@ class TestSimulateCommand:
         'sim.assignment="x"',
         "sim.seed=-5",
         "sim.n_firms=0",
+        "sim.n_reps=0",
+        "converge.n_values=[]",
+        "converge.n_values=[0]",
+        "converge.n_reps=1",
     ])
     def test_domain_rejection_names_the_path(self, tmp_path, capsys, override):
-        # the value is of the right kind, so a domain constructor rejects it;
-        # the message named only the section ("INVALID_VALUE at factor: ...")
+        # the value is of the right kind, so a domain rule rejects it; the
+        # message named only the section ("INVALID_VALUE at factor: ...")
         code = main(["limit", "--out", str(tmp_path), "--set", override])
         assert code == 2
         assert f"INVALID_VALUE at {override.split('=')[0]}: " in capsys.readouterr().err
@@ -549,6 +553,17 @@ class TestConfigPlumbing:
         assert code == 0
         header, _ = read_csv(tmp_path / "limit.csv")
         assert header == ["t", "F", "Q", "b_0", "b_1"]
+
+    def test_atom_field_omitted_takes_the_default_atoms(self, tmp_path):
+        # an omitted field read 0.0, so this atom solved to F = 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"atoms": [{"beta_c": 4.0}]},
+                                   "grid": {"n_steps": 50}}))
+        assert main(["limit", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+        assert main(["limit", "--out", str(tmp_path / "set"), "--set", "measure.atoms.0.beta_c=4",
+                     "--set", "grid.n_steps=50"]) == 0
+        limit_csv = [(tmp_path / out / "limit.csv").read_bytes() for out in ("file", "set")]
+        assert limit_csv[0] == limit_csv[1]
 
     def test_config_file_merges_over_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -41,6 +41,14 @@ TWO_ATOMS = DiscreteTypeMeasure(
 )
 
 
+# batch shapes of the memory tests: replications x firms, and the measure
+CELL_SHAPES = pytest.mark.parametrize("n_firms, n_reps, measure", [
+    (100_000, 1, None),
+    (1_000, 10, None),
+    (10_000, 2, TWO_ATOMS),  # the factor term runs
+], ids=["1e5x1", "1e3x10", "1e4x2-factor"])
+
+
 def make_config(n_firms=200, grid=None, seed=123, measure=None, factor=None, **kw):
     return SimConfig(
         n_firms=n_firms,
@@ -192,17 +200,23 @@ class TestPathStructure:
             tracemalloc.stop()
         assert peak < 50e6
 
-    @pytest.mark.parametrize("n_firms, n_reps, measure", [
-        (100_000, 1, None),
-        (1_000, 10, None),
-        (10_000, 2, TWO_ATOMS),  # the factor term runs
-    ], ids=["1e5x1", "1e3x10", "1e4x2-factor"])
+    @CELL_SHAPES
     def test_bytes_per_cell(self, n_firms, n_reps, measure):
         """README "Memory": a batch peaks under BYTES_PER_CELL bytes per cell,
         one replication x firm, without recorded moments; that figure is
         this bound."""
         config = make_config(n_firms=n_firms, measure=measure, grid=TimeGrid(1.0, 200))
         assert traced_peak(config, n_reps) / (n_firms * n_reps) < BYTES_PER_CELL
+
+    @CELL_SHAPES
+    def test_recorded_moments_add_only_their_rows(self, n_firms, n_reps, measure):
+        """Recording moments adds no state per cell: at most its two
+        step-indexed rows, 16 (n_steps + 1) bytes a replication, plus a byte."""
+        plain, recorded = (
+            traced_peak(make_config(n_firms=n_firms, measure=measure, grid=TimeGrid(1.0, 200),
+                                    record_moments=record_moments), n_reps) / (n_firms * n_reps)
+            for record_moments in (False, True))
+        assert recorded - plain <= 16 * 201 / n_firms + 1
 
     def test_readme_states_the_bytes_per_cell_bound(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
