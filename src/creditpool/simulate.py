@@ -27,12 +27,13 @@ signs are drawn on the calling thread, with no helper, into one block of
 ``_SIGN_BLOCK`` steps held as int8 +-1: one generator call per
 replication and block, and memory O(batch cells), not O(N * n_steps).
 
-Memory per cell (one replication x firm): eleven float64 rows (four
-per-firm coefficients, intensity, integrated intensity, threshold, default
-time and three step rows), a twelfth for the exposure when the factor is
-on, a one-byte hit flag and the 16-byte sign block.  Recorded moments
-add only their two step-indexed rows per replication, and smaller pools
-add their per-replication state (generators, step-indexed paths).
+Memory per cell (one replication x firm): ten float64 rows (four
+per-firm coefficients, intensity, integrated intensity, threshold and
+three step rows), an eleventh for the exposure when the factor is on, a
+one-byte hit flag and the 16-byte sign block, all freed before the
+results are built.  Recorded moments add only their two step-indexed
+rows per replication, and smaller pools add their per-replication state
+(generators, step-indexed paths).
 README "Memory" gives the measured bytes per cell.  Neither the sign
 dtype nor the block length moves an output bit: the signs are exactly
 +-1.0 in the product.
@@ -118,17 +119,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """One replication: default-rate path plus per-firm outcomes."""
+    """One replication's outputs: the default-rate path and, when
+    recorded, the intensity moment paths."""
 
     l_path: Trajectory
-    default_times: np.ndarray          # nan where the firm survived
     intensity_moment_paths: tuple[Trajectory, Trajectory] | None
     replication: int
-
-    def __post_init__(self):
-        dt = np.asarray(self.default_times, dtype=float).copy()
-        dt.setflags(write=False)
-        object.__setattr__(self, "default_times", dt)
 
 
 def proportional_counts(weights: np.ndarray, n_firms: int) -> np.ndarray:
@@ -217,7 +213,6 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     factor_normals = np.empty((width, min(_SIGN_BLOCK, n_steps)))
 
     counts = np.zeros((width, n_steps + 1), dtype=np.int64)  # defaults per step
-    default_times = np.full(shape, np.nan)
     if config.record_moments:
         m1 = np.empty((width, n_steps + 1))
         m2 = np.empty((width, n_steps + 1))
@@ -288,13 +283,13 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 if newly.size:
                     d = np.bincount(newly // n, minlength=width)
                     counts[:, k + 1] = d
-                    thresholds.flat[newly] = np.nan
-                    default_times.flat[newly] = (k + 1) * dt
+                    # ravel(): a view of each C-contiguous row, cheaper than .flat
+                    thresholds.ravel()[newly] = np.nan
                     # a defaulted firm's coefficients go to zero, so from
                     # here on its intensity holds its value at default
                     for coefficient in (alpha_dt, sigma_sqdt, beta_c, exposure):
                         if coefficient is not None:
-                            coefficient.flat[newly] = 0.0
+                            coefficient.ravel()[newly] = 0.0
                     # one batched jump: d defaults each contribute beta_c / N
                     np.multiply(d[:, None], beta_c, out=term)
                     term /= n
@@ -304,6 +299,9 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 if config.record_moments:
                     record(k + 1)
             del signs  # before the next block is unpacked
+    # the per-cell state, before the results copy the step-indexed rows
+    del (alpha_dt, lbar, sigma_sqdt, beta_c, exposure, lam, integrated, thresholds,
+         lam_plus, incr, term, hit)
 
     if config.record_moments:
         bad = ~(np.isfinite(m1) & np.isfinite(m2)).T  # (step, replication)
@@ -319,7 +317,6 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             moments = (Trajectory(grid, m1[i]), Trajectory(grid, m2[i]))
         results.append(SimResult(
             l_path=Trajectory(grid, l_path[i]),
-            default_times=default_times[i],
             intensity_moment_paths=moments,
             replication=r,
         ))

@@ -4,11 +4,15 @@
 ``limit`` and ``convergence`` modules, and wraps some of them with
 ``capturing(module, "name", ...)``.  Deleting or renaming one of them
 breaks every benchmark run of that workload without failing anything
-else, so these tests parse the worker and check each name it uses.
+else, so these tests parse the worker and check each name it uses.  A
+traced run also reads results through the tracer's hooks, so one traced
+sim run checks that they read nothing the package dropped.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,22 @@ def test_the_worker_reads_each_module():
 @pytest.mark.parametrize("module, name", NAMES_USED)
 def test_name_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def _load_worker():
+    """``perfbench/worker.py`` as a module; it imports its siblings by name."""
+    sys.path.insert(0, str(WORKER_PY.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("_perfbench_worker", WORKER_PY)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.path.remove(str(WORKER_PY.parent))
+
+
+def test_traced_sim_run_has_no_failed_job():
+    worker = _load_worker()
+    loop = worker.run_jobs("sim-small-pools", 11, 0.0, True, worker.load_program())["loop"]
+    assert loop["traced"] and loop["untraced"]
+    assert loop["failed"] == 0, loop["failures"]

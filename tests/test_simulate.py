@@ -42,11 +42,15 @@ TWO_ATOMS = DiscreteTypeMeasure(
 
 
 # batch shapes of the memory tests: replications x firms, and the measure
-CELL_SHAPES = pytest.mark.parametrize("n_firms, n_reps, measure", [
-    (100_000, 1, None),
-    (1_000, 10, None),
-    (10_000, 2, TWO_ATOMS),  # the factor term runs
-], ids=["1e5x1", "1e3x10", "1e4x2-factor"])
+CELL_CASES = [
+    pytest.param(100_000, 1, None, id="1e5x1"),
+    pytest.param(1_000, 10, None, id="1e3x10"),
+    pytest.param(10_000, 2, TWO_ATOMS, id="1e4x2-factor"),  # the factor term runs
+]
+CELL_SHAPES = pytest.mark.parametrize("n_firms, n_reps, measure", CELL_CASES)
+# plus a small pool, whose moment rows are a large share of its cells
+MOMENT_SHAPES = pytest.mark.parametrize(
+    "n_firms, n_reps, measure", [*CELL_CASES, pytest.param(100, 10, None, id="100x10")])
 
 
 def make_config(n_firms=200, grid=None, seed=123, measure=None, factor=None, **kw):
@@ -65,7 +69,6 @@ class TestDeterminism:
         config = make_config(record_moments=True)
         a, b = simulate(config), simulate(config)
         np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
-        np.testing.assert_array_equal(a.default_times, b.default_times)
         np.testing.assert_array_equal(
             a.intensity_moment_paths[0].values, b.intensity_moment_paths[0].values
         )
@@ -98,7 +101,6 @@ class TestDeterminism:
                 for a, b in zip(alone, batched):
                     assert b.replication == a.replication
                     np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
-                    np.testing.assert_array_equal(a.default_times, b.default_times)
                     for p in (1, 2):
                         np.testing.assert_array_equal(
                             moment_diagnostic(a, p).values, moment_diagnostic(b, p).values
@@ -111,7 +113,6 @@ class TestDeterminism:
         a = simulate(make_config(factor=eps0))
         b = simulate(make_config(factor=eps0_other))
         np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
-        np.testing.assert_array_equal(a.default_times, b.default_times)
 
 
 class TestPathStructure:
@@ -124,16 +125,10 @@ class TestPathStructure:
         counts = l * n
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
 
-    def test_default_times_match_path(self):
-        result = simulate(make_config(n_firms=150))
-        final = result.l_path.values[-1]
-        assert np.count_nonzero(~np.isnan(result.default_times)) == round(final * 150)
-
     def test_zero_pool_is_absorbing(self):
         m = homogeneous_measure(FirmType(4.0, 0.0, 0.9, 2.0), 0.0)
         result = simulate(make_config(measure=m, record_moments=True))
         assert np.all(result.l_path.values == 0.0)
-        assert np.all(np.isnan(result.default_times))
         assert np.all(moment_diagnostic(result, 1).values == 0.0)
         assert np.all(moment_diagnostic(result, 2).values == 0.0)
 
@@ -208,7 +203,7 @@ class TestPathStructure:
         config = make_config(n_firms=n_firms, measure=measure, grid=TimeGrid(1.0, 200))
         assert traced_peak(config, n_reps) / (n_firms * n_reps) < BYTES_PER_CELL
 
-    @CELL_SHAPES
+    @MOMENT_SHAPES
     def test_recorded_moments_add_only_their_rows(self, n_firms, n_reps, measure):
         """Recording moments adds no state per cell: at most its two
         step-indexed rows, 16 (n_steps + 1) bytes a replication, plus a byte."""
@@ -231,7 +226,7 @@ class TestPathStructure:
 
 
 # README "Memory" states this figure
-BYTES_PER_CELL = 170
+BYTES_PER_CELL = 115
 
 
 def traced_peak(config, n_reps):
@@ -346,14 +341,14 @@ class TestOracles:
             big_lambda.append(big_lambda[-1] + (max(lam, 0.0) + lam_plus) * half_dt)
         big_lambda = np.array(big_lambda)
 
-        # bit for bit: each firm's default time from its own threshold
+        # exactly: each step's defaults, from the firms' own thresholds
         for result in reps.results:
             thresholds = np.random.Generator(np.random.SFC64(simulate_module._seed_sequence(
                 config.seed, result.replication, simulate_module._STREAM_FIRM
             ))).standard_exponential(n)
             step = np.searchsorted(big_lambda, thresholds)
-            expected = np.where(step <= grid.n_steps, step * dt, np.nan)
-            np.testing.assert_array_equal(result.default_times, expected)
+            expected = np.bincount(step, minlength=grid.n_steps + 2)[1:grid.n_steps + 1]
+            np.testing.assert_array_equal(np.rint(np.diff(result.l_path.values) * n), expected)
 
         # in law: defaults per step, read from the aggregated L paths, against
         # the multinomial p_k = exp(-Lambda_{k-1}) - exp(-Lambda_k)
@@ -434,7 +429,7 @@ def reference_batch(config, replications):
     """The direct step loop: every firm of every replication each step, with
     defaulted firms masked out, and one draw of firm signs per step.
 
-    Returns ``(l_path, default_times, m1, m2)`` as ``(replications, ...)``
+    Returns ``(l_path, m1, m2)`` as ``(replications, ...)``
     arrays.  The oracle for the block-drawing kernel, which steps defaulted
     firms too but reads nothing of theirs, and the written form of RNG
     contract 4: one SFC64 stream per replication for the firms (N
@@ -479,7 +474,6 @@ def reference_batch(config, replications):
     alive = np.ones(lam.shape, dtype=bool)
     defaults = np.zeros(len(replications), dtype=np.int64)
     l_path = np.zeros((len(replications), grid.n_steps + 1))
-    default_times = np.full(lam.shape, np.nan)
     m1, m2 = np.empty_like(l_path), np.empty_like(l_path)
     pos = np.maximum(lam, 0.0)
     m1[:, 0], m2[:, 0] = pos.mean(axis=1), np.mean(pos * pos, axis=1)
@@ -511,13 +505,12 @@ def reference_batch(config, replications):
             if newly.any():
                 d = np.count_nonzero(newly, axis=1)
                 alive &= ~newly
-                default_times[newly] = (k + 1) * dt
                 defaults += d
                 lam = np.where(alive, lam + d[:, None] * beta_c / n, lam)
             l_path[:, k + 1] = defaults / n
             pos = np.maximum(lam, 0.0)
             m1[:, k + 1], m2[:, k + 1] = pos.mean(axis=1), np.mean(pos * pos, axis=1)
-    return l_path, default_times, m1, m2
+    return l_path, m1, m2
 
 
 # Atom A: constant intensity 0.05, no contagion; its firms default one at a
@@ -563,12 +556,11 @@ class TestReferenceKernel:
         assert 77 % simulate_module._SIGN_BLOCK != 0
         monkeypatch.setattr(simulate_module, "_CELL_BUDGET", width * config.n_firms)
         results = run_replications(config, 6).results
-        l_path, default_times, m1, m2 = reference_batch(config, range(6))
+        l_path, m1, m2 = reference_batch(config, range(6))
         if name == "all-default":
             assert np.all(l_path[:, 40] == 1.0)
         for i, result in enumerate(results):
             np.testing.assert_array_equal(result.l_path.values, l_path[i])
-            np.testing.assert_array_equal(result.default_times, default_times[i])
             np.testing.assert_array_equal(moment_diagnostic(result, 1).values, m1[i])
             np.testing.assert_array_equal(moment_diagnostic(result, 2).values, m2[i])
 
@@ -593,10 +585,10 @@ class TestReferenceKernel:
         assert int(np.argmax(l_path > 0.0)) == step - 1
 
 
-# sha256 of the L paths and default times, replication by replication, of
+# sha256 of the L paths, replication by replication, of
 # GOLDEN_CONFIG's three replications under RNG_CONTRACT 4.  If a change
 # moves a simulated bit on purpose, bump RNG_CONTRACT and this digest.
-GOLDEN_SHA256 = "79237851f4353c0e265b45563762ad3a563bafc62cf1570352b0326612290cc7"
+GOLDEN_SHA256 = "d2bacce25cf92508b0c32be39911e88905e1fd9291d21141bd26c69cf9a6a91b"
 
 
 def test_rng_contract_4_bits_pinned():
@@ -605,6 +597,5 @@ def test_rng_contract_4_bits_pinned():
     digest = hashlib.sha256()
     for result in run_replications(config, 3).results:
         digest.update(result.l_path.values.tobytes())
-        digest.update(result.default_times.tobytes())
     assert simulate_module.RNG_CONTRACT == 4
     assert digest.hexdigest() == GOLDEN_SHA256
