@@ -38,7 +38,7 @@ from .model import (
     Trajectory,
     homogeneous_measure,
 )
-from .simulate import SimConfig, run_replications
+from .simulate import SimConfig, median_q10_q90, run_replications
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,15 @@ def lln_experiment(
         seconds = time.perf_counter() - started
         distances = tuple(r.l_path.sup_distance(f) for r in reps.results)
         arr = np.array(distances)
+        median, q10, q90 = median_q10_q90(arr)
         cells.append(
             ConvergenceCell(
                 n_firms=n_firms,
                 n_reps=n_reps,
                 mean=float(arr.mean()),
-                median=float(np.median(arr)),
-                q10=float(np.quantile(arr, 0.1)),
-                q90=float(np.quantile(arr, 0.9)),
+                median=float(median),
+                q10=float(q10),
+                q90=float(q90),
                 seconds=seconds,
                 distances=distances,
             )

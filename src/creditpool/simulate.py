@@ -38,16 +38,27 @@ README "Memory" gives the measured bytes per cell.  Neither the sign
 dtype nor the block length moves an output bit: the signs are exactly
 +-1.0 in the product.
 
-Reproducibility (``RNG_CONTRACT`` 4): replication r of seed s draws its
+Reproducibility (``RNG_CONTRACT`` 5): replication r of seed s draws its
 firm noise from one SFC64 stream seeded by ``(s, r)``: N
 standard-exponential thresholds first, then ``ceil(N / 64)`` raw 64-bit
 words per step, in step order.  Firm i's increment in a step is -1 if bit
 ``i % 64`` (0 the least significant) of the step's word ``i // 64`` is
-set, else +1.  The step takes the drift as ``(lbar - lam+) * (alpha dt)``
-and the noise as ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)``.  The shared
-factor and the sampled atom assignment have streams of their own under
-the same key.  A replication's output is therefore bit-identical however
-the replications are batched, on any host; a firm's noise does depend on N.
+set, else +1.  Per firm the step holds ``alpha dt``, ``albar = (alpha dt)
+* lbar``, ``sigma sqrt(dt)``, ``beta_c / N`` and ``eps * beta_s``.  It
+takes the drift as ``albar - (alpha dt) * lam+``, or with the factor on
+the drift and factor term together as ``((eps beta_s) * dx - alpha dt) *
+lam+ + albar``, then adds the noise ``sqrt(lam+) * (sigma sqrt(dt)) *
+(+-1)``.  The integrated intensity is kept in units of dt/2, ``+= lam+``
+then ``+= max(lam, 0)``, against thresholds scaled once by ``2 / dt``;
+``d`` simultaneous defaults add ``(beta_c / N) * d``.  The shared factor
+and the sampled atom assignment have streams of their own under the same
+key.  A replication's output is therefore bit-identical however the
+replications are batched, on any host; a firm's noise does depend on N.
+Contract 4 took the drift as ``(lbar - lam+) * (alpha dt)``, the factor
+term as a separate ``exposure * lam+ * dx``, the trapezoid as ``dt/2 *
+(lam+ + max(lam, 0))`` and the jump as ``d * beta_c / N``.  The move
+to 5 is rounding only: recorded moments move in their last digits, and an
+L path only where a crossing falls within rounding of its threshold.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ ASSIGNMENTS = ("proportional", "sampled")
 
 #: Version of the map from ``(seed, replication)`` to random draws, written
 #: into manifests.  It changes whenever simulated output bits change.
-RNG_CONTRACT = 4
+RNG_CONTRACT = 5
 
 # Stream tags under (seed, replication, tag): keep these stable, they
 # are part of the reproducibility contract.
@@ -167,7 +178,6 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     grid = config.grid
     n_steps = grid.n_steps
     dt = grid.dt
-    half_dt = 0.5 * dt
     sqdt = math.sqrt(dt)
     width = len(replications)
 
@@ -196,16 +206,19 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     # One (width, N) array per quantity, replication by firm, for the whole
     # run.  A defaulted firm's threshold is NaN, which no integrated
     # intensity reaches; the firm is still stepped, with zero coefficients.
+    # The integrated intensity is held in units of dt/2, so its thresholds
+    # are scaled by 2/dt once, here.
     shape = (width, n)
     alpha_dt = per_cell([a.firm_type.alpha * dt for a in atoms])
-    lbar = per_cell([a.firm_type.lambda_bar for a in atoms])
+    albar = per_cell([a.firm_type.alpha * dt * a.firm_type.lambda_bar for a in atoms])
     sigma_sqdt = per_cell([a.firm_type.sigma * sqdt for a in atoms])
-    beta_c = per_cell([a.firm_type.beta_c for a in atoms])
-    exposure = eps * per_cell([a.firm_type.beta_s for a in atoms]) if factor_active else None
+    beta_c_n = per_cell([a.firm_type.beta_c / n for a in atoms])
+    exposure = per_cell([eps * a.firm_type.beta_s for a in atoms]) if factor_active else None
     lam = per_cell([a.lambda_init for a in atoms])
     del atom_idx
     integrated = np.zeros(shape)
     thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
+    thresholds *= 2.0 / dt
     lam_plus, incr, term = np.empty((3, width, n))
     hit = np.empty(shape, dtype=bool)
 
@@ -241,29 +254,33 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 g.standard_normal(count, out=out[:count])
 
             # One step, in place:  with lam+ = max(lam, 0),
-            #   lam += (lbar - lam+) (alpha dt) + sqrt(lam+) (sigma sqrt(dt)) (+-1)
-            #          + exposure lam+ dx,
-            #   integrated += dt/2 (lam+ + max(lam, 0)),
-            # each product taken in the order written, so the bits match
-            # the formula evaluated term by term (an int8 sign casts to
-            # exactly +-1.0).  The new max(lam, 0) goes into incr, free once
-            # lam has taken it, and swaps in as the next step's lam+ unless
-            # a default jump moves lam.
+            #   lam += albar - (alpha dt) lam+ + sqrt(lam+) (sigma sqrt(dt)) (+-1),
+            # where albar = alpha dt lbar, or, with the factor on,
+            #   lam += ((eps beta_s) dx - alpha dt) lam+ + albar
+            #          + sqrt(lam+) (sigma sqrt(dt)) (+-1);
+            # then, in units of dt/2,
+            #   integrated += lam+ + max(lam, 0),
+            # each operation taken in the order written (an int8 sign casts
+            # to exactly +-1.0).  The new max(lam, 0) goes into incr, free
+            # once lam has taken it, and swaps in as the next step's lam+
+            # unless a default jump moves lam.
             for j in range(count):
                 k = start + j
-                np.subtract(lbar, lam_plus, out=incr)
-                incr *= alpha_dt
-                np.sqrt(lam_plus, out=term)
-                term *= sigma_sqdt
-                term *= signs[:, j]
-                incr += term
                 if factor_active:
                     x_new = x * ou_decay + ou_scale * factor_normals[:, j]
                     dx = x_new - x
                     x = x_new
-                    np.multiply(exposure, lam_plus, out=term)
-                    term *= dx[:, None]
-                    incr += term
+                    np.multiply(exposure, dx[:, None], out=incr)
+                    incr -= alpha_dt
+                    incr *= lam_plus
+                    incr += albar
+                else:
+                    np.multiply(alpha_dt, lam_plus, out=incr)
+                    np.subtract(albar, incr, out=incr)
+                np.sqrt(lam_plus, out=term)
+                term *= sigma_sqdt
+                term *= signs[:, j]
+                incr += term
                 lam += incr
                 # any NaN or inf makes the sum non-finite; an overflowing sum
                 # of finite values only costs a search that finds nothing
@@ -273,9 +290,8 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                         r, firm = divmod(int(bad[0]), n)
                         raise NonFiniteStateError(replications[r], firm, k + 1)
                 np.maximum(lam, 0.0, out=incr)
-                np.add(incr, lam_plus, out=term)
-                term *= half_dt
-                integrated += term
+                integrated += lam_plus
+                integrated += incr
                 lam_plus, incr = incr, lam_plus
 
                 np.greater_equal(integrated, thresholds, out=hit)
@@ -287,12 +303,11 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     thresholds.ravel()[newly] = np.nan
                     # a defaulted firm's coefficients go to zero, so from
                     # here on its intensity holds its value at default
-                    for coefficient in (alpha_dt, sigma_sqdt, beta_c, exposure):
+                    for coefficient in (alpha_dt, albar, sigma_sqdt, beta_c_n, exposure):
                         if coefficient is not None:
                             coefficient.ravel()[newly] = 0.0
                     # one batched jump: d defaults each contribute beta_c / N
-                    np.multiply(d[:, None], beta_c, out=term)
-                    term /= n
+                    np.multiply(beta_c_n, d.astype(float)[:, None], out=term)
                     lam += term
                     np.maximum(lam, 0.0, out=lam_plus)
 
@@ -300,7 +315,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     record(k + 1)
             del signs  # before the next block is unpacked
     # the per-cell state, before the results copy the step-indexed rows
-    del (alpha_dt, lbar, sigma_sqdt, beta_c, exposure, lam, integrated, thresholds,
+    del (alpha_dt, albar, sigma_sqdt, beta_c_n, exposure, lam, integrated, thresholds,
          lam_plus, incr, term, hit)
 
     if config.record_moments:
@@ -327,12 +342,43 @@ def simulate(config: SimConfig, replication: int = 0) -> SimResult:
     """Run one replication of the coupled-intensity pool.
 
     Bit-identical to the same replication inside :func:`run_replications`.
+    A ``replication`` that is no whole number >= 0 raises ``ValueError``.
     Raises :class:`NonFiniteStateError` (reporting replication, firm and
     step) if any intensity becomes NaN or infinite, which signals a
     grid/parameter pathology rather than a statistical fluctuation.
     """
+    replication = whole_number(replication, "replication")
+    if replication < 0:
+        raise FieldError("replication", f"must be >= 0, got {replication!r}")
     validate_measure(config.measure, cap=math.inf)  # signs and weight sum
     return _simulate_batch(config, range(replication, replication + 1))[0]
+
+
+def median_q10_q90(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Median, 10% and 90% quantiles of finite ``values`` along axis 0, from
+    one sort.
+
+    Bit for bit what ``np.median`` and ``np.quantile`` (the default "linear"
+    method) give, without the ``numpy.ma`` import those pay on first use;
+    only a tie of -0.0 with 0.0 may come out with the other sign.
+    """
+    s = np.sort(values, axis=0)
+    size = len(s)
+    half = size // 2
+    median = s[half] if size % 2 else (s[half - 1] + s[half]) / 2
+
+    def quantile(q: float) -> np.ndarray:
+        # numpy: index (n - 1) q, and the lerp taken from the nearer end
+        index = (size - 1) * q
+        lo = math.floor(index)
+        if lo >= size - 1:
+            return s[-1]
+        t = index - lo
+        a, b = s[lo], s[lo + 1]
+        diff = b - a
+        return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+    return median, quantile(0.1), quantile(0.9)
 
 
 @dataclass(frozen=True)
@@ -363,11 +409,12 @@ def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
     )
     paths = np.stack([r.l_path.values for r in results])
     grid = config.grid
+    _, q10, q90 = median_q10_q90(paths)
     return ReplicationSet(
         results=results,
         mean=Trajectory(grid, paths.mean(axis=0)),
-        q10=Trajectory(grid, np.quantile(paths, 0.1, axis=0)),
-        q90=Trajectory(grid, np.quantile(paths, 0.9, axis=0)),
+        q10=Trajectory(grid, q10),
+        q90=Trajectory(grid, q90),
     )
 
 

@@ -28,6 +28,7 @@ from creditpool import (
 )
 
 from conftest import BASE
+from creditpool.errors import FieldError
 
 # the package exports the function simulate under the module's name
 simulate_module = import_module("creditpool.simulate")
@@ -231,8 +232,8 @@ BYTES_PER_CELL = 115
 
 def traced_peak(config, n_reps):
     """tracemalloc's peak in bytes over ``run_replications(config, n_reps)``,
-    after a tiny run has paid the one-off costs: the first ``np.quantile``
-    imports ``numpy.ma``, about 1.5 MB whatever the pool size."""
+    after a tiny run has paid the one-off costs, such as lazy imports and
+    caches, whatever the pool size."""
     run_replications(make_config(n_firms=2, grid=TimeGrid(1.0, 2)), 2)
     tracemalloc.start()
     try:
@@ -424,6 +425,38 @@ class TestAssignment:
         with pytest.raises(ValueError):
             run_replications(make_config(), 0)
 
+    def test_replication_must_be_a_nonnegative_integer(self):
+        config = make_config(n_firms=5, grid=TimeGrid(1.0, 5))
+        for bad in (True, 2.5):  # not replication 1, not a numpy or TypeError
+            with pytest.raises(ValueError, match="replication must be an integer"):
+                simulate(config, bad)
+        with pytest.raises(FieldError) as err:
+            simulate(config, -1)
+        assert err.value.field == "replication"
+        assert simulate(config, 2.0).replication == 2
+
+
+class TestAggregates:
+    @pytest.mark.parametrize("size", range(1, 26))
+    def test_median_q10_q90_match_numpy_bitwise(self, size):
+        rng = np.random.default_rng(size)
+        # columns of distinct values, of ties, and of one value repeated
+        values = np.column_stack([rng.standard_normal(size) * 1e3,
+                                  rng.integers(0, 4, size) * 0.1,
+                                  np.full(size, 0.3)])
+        for data, axis in ((values, 0), (values[:, 0], None)):
+            got = simulate_module.median_q10_q90(data)
+            want = (np.median(data, axis=axis), np.quantile(data, 0.1, axis=axis),
+                    np.quantile(data, 0.9, axis=axis))
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_run_replications_quantiles_match_numpy(self):
+        reps = run_replications(make_config(n_firms=30), 7)
+        paths = np.stack([r.l_path.values for r in reps.results])
+        assert reps.q10.values.tobytes() == np.quantile(paths, 0.1, axis=0).tobytes()
+        assert reps.q90.values.tobytes() == np.quantile(paths, 0.9, axis=0).tobytes()
+
 
 def reference_batch(config, replications):
     """The direct step loop: every firm of every replication each step, with
@@ -432,11 +465,15 @@ def reference_batch(config, replications):
     Returns ``(l_path, m1, m2)`` as ``(replications, ...)``
     arrays.  The oracle for the block-drawing kernel, which steps defaulted
     firms too but reads nothing of theirs, and the written form of RNG
-    contract 4: one SFC64 stream per replication for the firms (N
+    contract 5: one SFC64 stream per replication for the firms (N
     thresholds, then ceil(N / 64) raw words per step, firm i's increment
     -1 where bit ``i % 64`` of word ``i // 64`` is set and +1 where it is
-    clear), the drift ``(lbar - lam+) * (alpha dt)`` and the noise
-    ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)``.
+    clear); the drift ``albar - (alpha dt) * lam+`` with
+    ``albar = (alpha dt) * lbar``, or with the factor on drift and factor
+    term as ``((eps beta_s) * dx - alpha dt) * lam+ + albar``; the noise
+    ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)`` added to that; the integrated
+    intensity in units of dt/2, ``+ lam+ + max(lam, 0)``, against the
+    thresholds times ``2 / dt``; and the jump ``(beta_c / N) * d``.
     """
     n, grid = config.n_firms, config.grid
     dt, sqdt = grid.dt, math.sqrt(grid.dt)
@@ -450,13 +487,13 @@ def reference_batch(config, replications):
         return simulate_module._seed_sequence(config.seed, r, tag)
 
     alpha_dt = per_firm([a.firm_type.alpha * dt for a in atoms])
-    lbar = per_firm([a.firm_type.lambda_bar for a in atoms])
+    albar = alpha_dt * per_firm([a.firm_type.lambda_bar for a in atoms])
     sigma_sqdt = per_firm([a.firm_type.sigma * sqdt for a in atoms])
-    beta_c = per_firm([a.firm_type.beta_c for a in atoms])
+    beta_c_n = per_firm([a.firm_type.beta_c for a in atoms]) / n
     lam = per_firm([a.lambda_init for a in atoms])
     firm_rngs = [np.random.Generator(np.random.SFC64(stream(r, simulate_module._STREAM_FIRM)))
                  for r in replications]
-    thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
+    thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs]) * (2.0 / dt)
     firm = np.arange(n)
     word_of, bit_of = firm // 64, (firm % 64).astype(np.uint64)
 
@@ -489,16 +526,19 @@ def reference_batch(config, replications):
                 dx = (x_new - x)[:, None]
                 x = x_new
             lam_plus = np.maximum(lam, 0.0)
-            incr = (lbar - lam_plus) * alpha_dt + np.sqrt(lam_plus) * sigma_sqdt * z
             if factor_active:
-                incr += exposure * lam_plus * dx
+                incr = (exposure * dx - alpha_dt) * lam_plus + albar
+            else:
+                incr = albar - alpha_dt * lam_plus
+            incr += np.sqrt(lam_plus) * sigma_sqdt * z
             lam_new = np.where(alive, lam + incr, lam)
             finite = np.isfinite(lam_new)
             if not finite.all():
                 rep, firm = np.unravel_index(np.argmin(finite), finite.shape)
                 raise NonFiniteStateError(replications[rep], int(firm), k + 1)
+            # in units of dt/2
             integrated = np.where(
-                alive, integrated + 0.5 * dt * (lam_plus + np.maximum(lam_new, 0.0)), integrated
+                alive, integrated + lam_plus + np.maximum(lam_new, 0.0), integrated
             )
             lam = lam_new
             newly = alive & (integrated >= thresholds)
@@ -506,7 +546,7 @@ def reference_batch(config, replications):
                 d = np.count_nonzero(newly, axis=1)
                 alive &= ~newly
                 defaults += d
-                lam = np.where(alive, lam + d[:, None] * beta_c / n, lam)
+                lam = np.where(alive, lam + beta_c_n * d[:, None].astype(float), lam)
             l_path[:, k + 1] = defaults / n
             pos = np.maximum(lam, 0.0)
             m1[:, k + 1], m2[:, k + 1] = pos.mean(axis=1), np.mean(pos * pos, axis=1)
@@ -545,6 +585,13 @@ class TestReferenceKernel:
         # exposure
         "factor-off": dict(n_firms=60, measure=TWO_ATOMS,
                            factor=SystematicFactorConfig(eps=EpsSchedule("zero"))),
+        # three contagion strengths, so each atom has its own beta_c / N row,
+        # at an N that is no power of two
+        "three-atoms": dict(n_firms=97, measure=DiscreteTypeMeasure((
+            TypeAtom(FirmType(4.0, 1.0, 0.9, 1.3, beta_s=1.0), 1.0, 0.4),
+            TypeAtom(FirmType(2.0, 0.6, 0.6, 0.7), 0.8, 0.3),
+            TypeAtom(FirmType(3.0, 1.5, 0.5, 2.9, beta_s=0.5), 1.2, 0.3),
+        ))),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -559,6 +606,8 @@ class TestReferenceKernel:
         l_path, m1, m2 = reference_batch(config, range(6))
         if name == "all-default":
             assert np.all(l_path[:, 40] == 1.0)
+        if name == "three-atoms":
+            assert np.all(l_path[:, -1] > 0.0)
         for i, result in enumerate(results):
             np.testing.assert_array_equal(result.l_path.values, l_path[i])
             np.testing.assert_array_equal(moment_diagnostic(result, 1).values, m1[i])
@@ -586,16 +635,17 @@ class TestReferenceKernel:
 
 
 # sha256 of the L paths, replication by replication, of
-# GOLDEN_CONFIG's three replications under RNG_CONTRACT 4.  If a change
-# moves a simulated bit on purpose, bump RNG_CONTRACT and this digest.
+# GOLDEN_CONFIG's three replications under RNG_CONTRACT 5, which kept
+# contract 4's digest: its rounding moved none of these L-path bits.  If a
+# change moves a simulated bit on purpose, bump RNG_CONTRACT and this digest.
 GOLDEN_SHA256 = "d2bacce25cf92508b0c32be39911e88905e1fd9291d21141bd26c69cf9a6a91b"
 
 
-def test_rng_contract_4_bits_pinned():
+def test_rng_contract_5_bits_pinned():
     config = make_config(n_firms=50, measure=TWO_ATOMS, grid=TimeGrid(1.0, 100), seed=2024)
     assert config.factor.eps(50) != 0.0  # the factor term runs
     digest = hashlib.sha256()
     for result in run_replications(config, 3).results:
         digest.update(result.l_path.values.tobytes())
-    assert simulate_module.RNG_CONTRACT == 4
+    assert simulate_module.RNG_CONTRACT == 5
     assert digest.hexdigest() == GOLDEN_SHA256
