@@ -18,7 +18,6 @@ from .convergence import (
 from .errors import (
     ConfigError,
     CreditPoolError,
-    MomentsNotRecordedError,
     NoConvergenceError,
     NonFiniteResultError,
     NonFiniteStateError,
@@ -51,7 +50,6 @@ from .simulate import (
     ReplicationSet,
     SimConfig,
     SimResult,
-    moment_diagnostic,
     proportional_counts,
     run_replications,
     simulate,
@@ -69,11 +67,11 @@ __all__ = [
     "solve_homogeneous_f", "solve_limit",
     # simulation
     "SimConfig", "SimResult", "ReplicationSet",
-    "simulate", "run_replications", "moment_diagnostic", "proportional_counts",
+    "simulate", "run_replications", "proportional_counts",
     # convergence lab
     "ConvergenceCell", "ConvergenceReport", "lln_experiment",
     "figure_sweep", "q_identity_diagnostic",
     # errors
     "CreditPoolError", "ValidationError", "ConfigError", "NoConvergenceError",
-    "NonFiniteResultError", "NonFiniteStateError", "MomentsNotRecordedError",
+    "NonFiniteResultError", "NonFiniteStateError",
 ]

@@ -30,13 +30,13 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .convergence import check_ladder, figure_sweep, lln_experiment
+from .convergence import BASE_CASE, BASE_LAMBDA_INIT, check_ladder, figure_sweep, lln_experiment
 from .errors import (
     ConfigError,
     CreditPoolError,
@@ -46,8 +46,9 @@ from .errors import (
     bounded_repr,
     bounded_text,
 )
-from .limit import check_iteration, solve_limit
+from .limit import DEFAULT_MAX_ITER, DEFAULT_TOL, check_iteration, solve_limit
 from .model import (
+    DEFAULT_CAP,
     DiscreteTypeMeasure,
     EpsSchedule,
     FirmType,
@@ -57,19 +58,16 @@ from .model import (
     validate_measure,
     whole_number,
 )
-from .simulate import RNG_CONTRACT, SimConfig, moment_diagnostic, run_replications
+from .simulate import RNG_CONTRACT, SimConfig, run_replications
 
 DEFAULT_CONFIG = {
     "measure": {
-        "cap": 100.0,
-        "atoms": [{"alpha": 4.0, "lambda_bar": 0.5, "sigma": 0.9,
-                   "beta_c": 2.0, "beta_s": 0.0,
-                   "lambda_init": 0.5, "weight": 1.0}],
+        "cap": DEFAULT_CAP,
+        "atoms": [{**asdict(BASE_CASE), "lambda_init": BASE_LAMBDA_INIT, "weight": 1.0}],
     },
-    "factor": {"gamma": 1.0, "x_init": 0.0,
-               "eps": {"kind": "inverse_sqrt", "value": 1.0}},
+    "factor": asdict(SystematicFactorConfig()),
     "grid": {"t_end": 1.0, "n_steps": 1000},
-    "solver": {"tol": 1e-10, "max_iter": 200},
+    "solver": {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER},
     "sim": {"n_firms": 10000, "n_reps": 20, "seed": 20260810,
             "assignment": "proportional", "record_moments": False},
     "converge": {"n_values": [100, 1000, 10000], "n_reps": 20},
@@ -319,16 +317,17 @@ def _cmd_simulate(run: RunConfig):
          [grid.points(), reps.mean.values, reps.q10.values, reps.q90.values]),
     ]
     if run.sim.record_moments:
-        moments = [np.concatenate([moment_diagnostic(r, p).values for r in results])
-                   for p in (1, 2)]
-        tables.append(("moments.csv", ["t", "rep", "m1", "m2"], [t, rep, *moments]))
+        tables.append(("moments.csv", ["t", "rep", "m1", "m2"],
+                       [t, rep, np.concatenate([r.m1.values for r in results]),
+                        np.concatenate([r.m2.values for r in results])]))
     return tables, {"rng_contract": RNG_CONTRACT}
 
 
 def _cmd_converge(run: RunConfig):
     sim = run.sim
     report = lln_experiment(sim.measure, sim.factor, sim.grid, run.n_values, run.converge_reps,
-                            seed=sim.seed, tol=run.tol, max_iter=run.max_iter)
+                            seed=sim.seed, tol=run.tol, max_iter=run.max_iter,
+                            assignment=sim.assignment)
     columns = [np.array([getattr(c, name) for c in report.cells])
                for name in ("n_firms", "n_reps", "mean", "median", "q10", "q90")]
     header = ["N", "reps", "mean", "median", "q10", "q90"]

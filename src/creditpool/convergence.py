@@ -91,14 +91,16 @@ def lln_experiment(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     limit: LimitSolution | None = None,
+    assignment: str = "proportional",
 ) -> ConvergenceReport:
     """Simulate across pool sizes and compare against the limit curve.
 
     The limit is solved once per grid (or supplied, in which case it must
     have been solved for this measure and grid).  Each pool size runs
     ``n_reps`` replications (at least two, since the report is
-    statistics); per replication the distance is the max over grid points
-    of |simulated default rate - limit|.
+    statistics), its firms given atoms by ``assignment`` (a
+    :class:`SimConfig` assignment); per replication the distance is the
+    max over grid points of |simulated default rate - limit|.
     """
     check_ladder(n_values, n_reps)
     if limit is None:
@@ -109,7 +111,8 @@ def lln_experiment(
 
     cells = []
     for n_firms in n_values:
-        config = SimConfig(n_firms=n_firms, measure=measure, factor=factor, grid=grid, seed=seed)
+        config = SimConfig(n_firms=n_firms, measure=measure, factor=factor, grid=grid, seed=seed,
+                           assignment=assignment)
         started = time.perf_counter()
         reps = run_replications(config, n_reps)
         seconds = time.perf_counter() - started

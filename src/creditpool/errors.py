@@ -119,9 +119,3 @@ class NonFiniteStateError(CreditPoolError):
         super().__init__(
             f"non-finite intensity in replication {replication} at {where}, step {step}"
         )
-
-
-class MomentsNotRecordedError(CreditPoolError):
-    """Moment paths were requested but not recorded during simulation."""
-
-    code = "MOMENTS_NOT_RECORDED"

@@ -4,7 +4,8 @@ Each of N firms carries a square-root diffusion intensity that jumps by
 ``beta_c / N`` whenever any firm defaults, and is exposed (with pool-size
 scaling eps_N) to one shared mean-reverting factor.  A firm defaults the
 first time its running integrated intensity exceeds an independent
-standard-exponential threshold.
+standard-exponential threshold: each firm holds one default clock, the
+threshold less the integrated intensity, and defaults when it runs out.
 
 Discretization: full-truncation Euler for the intensity (the truncated
 positive part feeds the drift, the square root, and the factor term) with
@@ -20,25 +21,24 @@ dense grid, one ``(replications, N)`` array per quantity, and one time
 step is one pass of numpy operations over it.
 :func:`run_replications` cuts its replications into batches of
 ``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
-A defaulted firm's threshold becomes NaN, which no integrated intensity
-reaches, and its step coefficients become zero; the firm keeps its cell to
-the end of the run, its intensity held at its value at default.  The
-signs are drawn on the calling thread, with no helper, into one block of
-``_SIGN_BLOCK`` steps held as int8 +-1: one generator call per
-replication and block, and memory O(batch cells), not O(N * n_steps).
+A defaulted firm's clock becomes NaN, which never runs out again, and its
+step coefficients become zero; the firm keeps its cell to the end of the
+run, its intensity held at its value at default.  The signs are drawn on
+the calling thread, with no helper, into one block of ``_SIGN_BLOCK``
+steps held as int8 +-1: one generator call per replication and block, and
+memory O(batch cells), not O(N * n_steps).
 
-Memory per cell (one replication x firm): ten float64 rows (four
-per-firm coefficients, intensity, integrated intensity, threshold and
-three step rows), an eleventh for the exposure when the factor is on, a
-one-byte hit flag and the 16-byte sign block, all freed before the
-results are built.  Recorded moments add only their two step-indexed
-rows per replication, and smaller pools add their per-replication state
-(generators, step-indexed paths).
+Memory per cell (one replication x firm): nine float64 rows (four
+per-firm coefficients, intensity, clock and three step rows), a tenth for
+the exposure when the factor is on, a one-byte hit flag and the 16-byte
+sign block, all freed before the results are built.  Recorded moments add
+only their two step-indexed rows per replication, and smaller pools add
+their per-replication state (generators, step-indexed paths).
 README "Memory" gives the measured bytes per cell.  Neither the sign
 dtype nor the block length moves an output bit: the signs are exactly
 +-1.0 in the product.
 
-Reproducibility (``RNG_CONTRACT`` 5): replication r of seed s draws its
+Reproducibility (``RNG_CONTRACT`` 6): replication r of seed s draws its
 firm noise from one SFC64 stream seeded by ``(s, r)``: N
 standard-exponential thresholds first, then ``ceil(N / 64)`` raw 64-bit
 words per step, in step order.  Firm i's increment in a step is -1 if bit
@@ -48,17 +48,13 @@ set, else +1.  Per firm the step holds ``alpha dt``, ``albar = (alpha dt)
 takes the drift as ``albar - (alpha dt) * lam+``, or with the factor on
 the drift and factor term together as ``((eps beta_s) * dx - alpha dt) *
 lam+ + albar``, then adds the noise ``sqrt(lam+) * (sigma sqrt(dt)) *
-(+-1)``.  The integrated intensity is kept in units of dt/2, ``+= lam+``
-then ``+= max(lam, 0)``, against thresholds scaled once by ``2 / dt``;
-``d`` simultaneous defaults add ``(beta_c / N) * d``.  The shared factor
-and the sampled atom assignment have streams of their own under the same
-key.  A replication's output is therefore bit-identical however the
-replications are batched, on any host; a firm's noise does depend on N.
-Contract 4 took the drift as ``(lbar - lam+) * (alpha dt)``, the factor
-term as a separate ``exposure * lam+ * dx``, the trapezoid as ``dt/2 *
-(lam+ + max(lam, 0))`` and the jump as ``d * beta_c / N``.  The move
-to 5 is rounding only: recorded moments move in their last digits, and an
-L path only where a crossing falls within rounding of its threshold.
+(+-1)``.  The clock starts at the threshold times ``2 / dt`` and runs in
+units of dt/2, ``-= lam+`` then ``-= max(lam, 0)``; a firm defaults when
+its clock is ``<= 0``.  ``d`` simultaneous defaults add ``(beta_c / N) *
+d``.  The shared factor and the sampled atom assignment have streams of
+their own under the same key.  A replication's output is
+therefore bit-identical however the replications are batched, on any
+host; a firm's noise does depend on N.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, MomentsNotRecordedError, NonFiniteStateError, bounded_repr
+from .errors import FieldError, NonFiniteStateError, bounded_repr
 from .model import (
     DiscreteTypeMeasure,
     SystematicFactorConfig,
@@ -82,7 +78,7 @@ ASSIGNMENTS = ("proportional", "sampled")
 
 #: Version of the map from ``(seed, replication)`` to random draws, written
 #: into manifests.  It changes whenever simulated output bits change.
-RNG_CONTRACT = 5
+RNG_CONTRACT = 6
 
 # Stream tags under (seed, replication, tag): keep these stable, they
 # are part of the reproducibility contract.
@@ -131,10 +127,12 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     """One replication's outputs: the default-rate path and, when
-    recorded, the intensity moment paths."""
+    recorded, the pool averages of the intensity's first and second powers
+    (a defaulted firm's taken at default), else None."""
 
     l_path: Trajectory
-    intensity_moment_paths: tuple[Trajectory, Trajectory] | None
+    m1: Trajectory | None
+    m2: Trajectory | None
     replication: int
 
 
@@ -204,10 +202,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                    for r in replications] if factor_active else []
 
     # One (width, N) array per quantity, replication by firm, for the whole
-    # run.  A defaulted firm's threshold is NaN, which no integrated
-    # intensity reaches; the firm is still stepped, with zero coefficients.
-    # The integrated intensity is held in units of dt/2, so its thresholds
-    # are scaled by 2/dt once, here.
+    # run.  Each firm's clock is its threshold less its integrated
+    # intensity, in units of dt/2, so the thresholds are scaled by 2/dt
+    # once, here.  A defaulted firm's clock is NaN, which never runs out;
+    # the firm is still stepped, with zero coefficients.
     shape = (width, n)
     alpha_dt = per_cell([a.firm_type.alpha * dt for a in atoms])
     albar = per_cell([a.firm_type.alpha * dt * a.firm_type.lambda_bar for a in atoms])
@@ -216,9 +214,8 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     exposure = per_cell([eps * a.firm_type.beta_s for a in atoms]) if factor_active else None
     lam = per_cell([a.lambda_init for a in atoms])
     del atom_idx
-    integrated = np.zeros(shape)
-    thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs])
-    thresholds *= 2.0 / dt
+    clock = np.stack([g.standard_exponential(n) for g in firm_rngs])
+    clock *= 2.0 / dt
     lam_plus, incr, term = np.empty((3, width, n))
     hit = np.empty(shape, dtype=bool)
 
@@ -259,7 +256,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             #   lam += ((eps beta_s) dx - alpha dt) lam+ + albar
             #          + sqrt(lam+) (sigma sqrt(dt)) (+-1);
             # then, in units of dt/2,
-            #   integrated += lam+ + max(lam, 0),
+            #   clock -= lam+, clock -= max(lam, 0),
             # each operation taken in the order written (an int8 sign casts
             # to exactly +-1.0).  The new max(lam, 0) goes into incr, free
             # once lam has taken it, and swaps in as the next step's lam+
@@ -290,17 +287,17 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                         r, firm = divmod(int(bad[0]), n)
                         raise NonFiniteStateError(replications[r], firm, k + 1)
                 np.maximum(lam, 0.0, out=incr)
-                integrated += lam_plus
-                integrated += incr
+                clock -= lam_plus
+                clock -= incr
                 lam_plus, incr = incr, lam_plus
 
-                np.greater_equal(integrated, thresholds, out=hit)
+                np.less_equal(clock, 0.0, out=hit)
                 newly = hit.ravel().nonzero()[0]  # np.flatnonzero, minus its call overhead
                 if newly.size:
                     d = np.bincount(newly // n, minlength=width)
                     counts[:, k + 1] = d
                     # ravel(): a view of each C-contiguous row, cheaper than .flat
-                    thresholds.ravel()[newly] = np.nan
+                    clock.ravel()[newly] = np.nan
                     # a defaulted firm's coefficients go to zero, so from
                     # here on its intensity holds its value at default
                     for coefficient in (alpha_dt, albar, sigma_sqdt, beta_c_n, exposure):
@@ -315,8 +312,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     record(k + 1)
             del signs  # before the next block is unpacked
     # the per-cell state, before the results copy the step-indexed rows
-    del (alpha_dt, albar, sigma_sqdt, beta_c_n, exposure, lam, integrated, thresholds,
-         lam_plus, incr, term, hit)
+    del alpha_dt, albar, sigma_sqdt, beta_c_n, exposure, lam, clock, lam_plus, incr, term, hit
 
     if config.record_moments:
         bad = ~(np.isfinite(m1) & np.isfinite(m2)).T  # (step, replication)
@@ -325,17 +321,11 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             raise NonFiniteStateError(replications[i], None, step)
 
     l_path = np.cumsum(counts, axis=1) / n
-    results = []
-    for i, r in enumerate(replications):
-        moments = None
-        if config.record_moments:
-            moments = (Trajectory(grid, m1[i]), Trajectory(grid, m2[i]))
-        results.append(SimResult(
-            l_path=Trajectory(grid, l_path[i]),
-            intensity_moment_paths=moments,
-            replication=r,
-        ))
-    return results
+    return [SimResult(l_path=Trajectory(grid, l_path[i]),
+                      m1=Trajectory(grid, m1[i]) if config.record_moments else None,
+                      m2=Trajectory(grid, m2[i]) if config.record_moments else None,
+                      replication=r)
+            for i, r in enumerate(replications)]
 
 
 def simulate(config: SimConfig, replication: int = 0) -> SimResult:
@@ -417,17 +407,3 @@ def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
         q90=Trajectory(grid, q90),
     )
 
-
-def moment_diagnostic(result: SimResult, p: int) -> Trajectory:
-    """Recorded path of the pool-average p-th power of the intensity.
-
-    Dead firms contribute their value at default; a blow-up of this path flags
-    an unstable discretization.  Only p = 1 and p = 2 are recorded.
-    """
-    if result.intensity_moment_paths is None:
-        raise MomentsNotRecordedError("run with record_moments=True to use this")
-    if p == 1:
-        return result.intensity_moment_paths[0]
-    if p == 2:
-        return result.intensity_moment_paths[1]
-    raise MomentsNotRecordedError(f"only moments p=1,2 are recorded, asked for p={p}")

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditpool import TimeGrid, ValidationError, convergence, moment_diagnostic, run_replications
+from creditpool import TimeGrid, ValidationError, convergence, run_replications
 from creditpool.cli import DEFAULT_CONFIG, MAX_SIZE, load_config, main, resolve_config
 from creditpool.errors import (
     ConfigError,
-    MomentsNotRecordedError,
+    CreditPoolError,
     NoConvergenceError,
     NonFiniteResultError,
     NonFiniteStateError,
@@ -173,7 +173,7 @@ class TestSimulateCommand:
     def test_manifest_records_rng_contract(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), *SIM_ARGS]) == 0
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
-        assert manifest["rng_contract"] == 5
+        assert manifest["rng_contract"] == 6
         assert "threads_hint" not in manifest
 
     def test_moments_written_only_when_recorded(self, tmp_path):
@@ -190,9 +190,9 @@ class TestSimulateCommand:
         assert header == ["t", "rep", "m1", "m2"]
         assert column(header, rows, "rep", int) == [r for r in range(n_reps)
                                                     for _ in range(grid.n_points)]
-        for p, name in ((1, "m1"), (2, "m2")):
+        for name in ("m1", "m2"):
             got = np.reshape(column(header, rows, name), (n_reps, grid.n_points))
-            want = np.stack([moment_diagnostic(r, p).values for r in expected])
+            want = np.stack([getattr(r, name).values for r in expected])
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("override", [
@@ -299,7 +299,30 @@ class TestConvergeCommand:
         assert [p["N"] for p in pools] == [40, 160] and all(p["seconds"] >= 0.0 for p in pools)
         assert manifest["solver_residual"] <= 1e-10
         assert "median_violations" in manifest
-        assert manifest["rng_contract"] == 5
+        assert manifest["rng_contract"] == 6
+
+    def test_sampled_assignment_reaches_the_simulation(self, tmp_path):
+        # two atoms of equal weight: a sampled assignment gives each firm its
+        # own draw, so the pools, and their distances, differ from the split
+        atoms = [{"beta_c": 1.0, "weight": 0.5},
+                 {"alpha": 2.0, "lambda_init": 1.5, "weight": 0.5}]
+        args = ["--set", f"measure.atoms={json.dumps(atoms)}",
+                "--set", "converge.n_values=[10,40]", "--set", "converge.n_reps=4",
+                "--set", "grid.n_steps=50"]
+        runs = {}
+        for assignment in ("proportional", "sampled"):
+            out = tmp_path / assignment
+            assert main(["converge", "--out", str(out), *args,
+                         "--set", f'sim.assignment="{assignment}"']) == 0
+            runs[assignment] = out / "convergence.csv"
+        assert runs["sampled"].read_bytes() != runs["proportional"].read_bytes()
+        run = resolve_config(load_config(str(tmp_path / "sampled" / "converge_manifest.json"),
+                                         [], None))
+        report = convergence.lln_experiment(run.sim.measure, run.sim.factor, run.sim.grid,
+                                            run.n_values, run.converge_reps, seed=run.sim.seed,
+                                            assignment="sampled")
+        header, rows = read_csv(runs["sampled"])
+        assert column(header, rows, "median") == [c.median for c in report.cells]
 
     def test_rerun_identical_bytes(self, tmp_path):
         # wall-clock time goes to the manifest, never to the data file
@@ -736,7 +759,7 @@ def test_set_path_error_names_its_segment(tmp_path, capsys, key, segment):
     pytest.param(NonFiniteResultError("nan"), 4, id="nonfinite-result"),
     pytest.param(NonFiniteStateError(0, 1, 2), 4, id="nonfinite-state"),
     pytest.param(OSError("disk"), 5, id="io"),
-    pytest.param(MomentsNotRecordedError("internal"), 1, id="internal"),
+    pytest.param(CreditPoolError("internal"), 1, id="internal"),
 ])
 def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code):
     def failing_run(*args):

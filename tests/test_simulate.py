@@ -14,14 +14,12 @@ from creditpool import (
     DiscreteTypeMeasure,
     EpsSchedule,
     FirmType,
-    MomentsNotRecordedError,
     NonFiniteStateError,
     SimConfig,
     SystematicFactorConfig,
     TimeGrid,
     TypeAtom,
     homogeneous_measure,
-    moment_diagnostic,
     proportional_counts,
     run_replications,
     simulate,
@@ -70,9 +68,7 @@ class TestDeterminism:
         config = make_config(record_moments=True)
         a, b = simulate(config), simulate(config)
         np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
-        np.testing.assert_array_equal(
-            a.intensity_moment_paths[0].values, b.intensity_moment_paths[0].values
-        )
+        np.testing.assert_array_equal(a.m1.values, b.m1.values)
 
     def test_replications_differ_but_are_reproducible(self):
         config = make_config()
@@ -102,10 +98,8 @@ class TestDeterminism:
                 for a, b in zip(alone, batched):
                     assert b.replication == a.replication
                     np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
-                    for p in (1, 2):
-                        np.testing.assert_array_equal(
-                            moment_diagnostic(a, p).values, moment_diagnostic(b, p).values
-                        )
+                    np.testing.assert_array_equal(a.m1.values, b.m1.values)
+                    np.testing.assert_array_equal(a.m2.values, b.m2.values)
 
     def test_factor_stream_is_separate(self):
         # with zero exposure, changing the factor's dynamics cannot move a bit
@@ -130,8 +124,8 @@ class TestPathStructure:
         m = homogeneous_measure(FirmType(4.0, 0.0, 0.9, 2.0), 0.0)
         result = simulate(make_config(measure=m, record_moments=True))
         assert np.all(result.l_path.values == 0.0)
-        assert np.all(moment_diagnostic(result, 1).values == 0.0)
-        assert np.all(moment_diagnostic(result, 2).values == 0.0)
+        assert np.all(result.m1.values == 0.0)
+        assert np.all(result.m2.values == 0.0)
 
     def test_single_firm_pool(self):
         m = homogeneous_measure(FirmType(0.0, 0.0, 0.0, beta_c=2.0), 5.0)
@@ -143,7 +137,7 @@ class TestPathStructure:
         assert set(np.unique(l)) == {0.0, 1.0}
         # frozen after the only default: recorded intensity moment is constant
         k = int(np.argmax(l))
-        m1 = moment_diagnostic(result, 1).values
+        m1 = result.m1.values
         assert np.all(m1[k:] == m1[k])
 
     def test_contagion_only_acts_through_defaults(self):
@@ -227,7 +221,7 @@ class TestPathStructure:
 
 
 # README "Memory" states this figure
-BYTES_PER_CELL = 115
+BYTES_PER_CELL = 107
 
 
 def traced_peak(config, n_reps):
@@ -262,12 +256,12 @@ class TestOracles:
                                       record_moments=True))
         t = grid.points()
         expected = 0.05 + (0.1 - 0.05) * np.exp(-4.0 * t)
-        observed = moment_diagnostic(result, 1).values
+        observed = result.m1.values
         assert np.max(np.abs(observed - expected)) < 5e-3
 
     def test_second_moment_stays_bounded(self):
         result = simulate(make_config(n_firms=2000, grid=TimeGrid(1.0, 500), record_moments=True))
-        m2 = moment_diagnostic(result, 2).values
+        m2 = result.m2.values
         assert np.all(np.isfinite(m2))
         assert m2.max() < 5.0
 
@@ -296,7 +290,7 @@ class TestOracles:
         decay = np.exp(-alpha * grid.points())
         expected = lam0**2 * decay**2 + (2 * alpha * lbar + sigma**2) * (
             lbar * (1 - decay**2) / (2 * alpha) + (lam0 - lbar) * (decay - decay**2) / alpha)
-        observed = moment_diagnostic(result, 2).values
+        observed = result.m2.values
         assert np.max(np.abs(observed / expected - 1.0)) < self.SECOND_MOMENT_BOUND
 
     def test_factor_exposure_variance_shrinks_with_schedule(self):
@@ -367,14 +361,7 @@ class TestOracles:
 class TestMoments:
     def test_not_recorded(self):
         result = simulate(make_config(record_moments=False))
-        assert result.intensity_moment_paths is None
-        with pytest.raises(MomentsNotRecordedError):
-            moment_diagnostic(result, 1)
-
-    def test_unsupported_order(self):
-        result = simulate(make_config(record_moments=True))
-        with pytest.raises(MomentsNotRecordedError):
-            moment_diagnostic(result, 3)
+        assert result.m1 is None and result.m2 is None
 
 
 class TestAssignment:
@@ -465,15 +452,16 @@ def reference_batch(config, replications):
     Returns ``(l_path, m1, m2)`` as ``(replications, ...)``
     arrays.  The oracle for the block-drawing kernel, which steps defaulted
     firms too but reads nothing of theirs, and the written form of RNG
-    contract 5: one SFC64 stream per replication for the firms (N
+    contract 6: one SFC64 stream per replication for the firms (N
     thresholds, then ceil(N / 64) raw words per step, firm i's increment
     -1 where bit ``i % 64`` of word ``i // 64`` is set and +1 where it is
     clear); the drift ``albar - (alpha dt) * lam+`` with
     ``albar = (alpha dt) * lbar``, or with the factor on drift and factor
     term as ``((eps beta_s) * dx - alpha dt) * lam+ + albar``; the noise
-    ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)`` added to that; the integrated
-    intensity in units of dt/2, ``+ lam+ + max(lam, 0)``, against the
-    thresholds times ``2 / dt``; and the jump ``(beta_c / N) * d``.
+    ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)`` added to that; each firm's
+    clock, its threshold times ``2 / dt`` less its integrated intensity in
+    units of dt/2, ``- lam+ - max(lam, 0)``, a default where it is
+    ``<= 0``; and the jump ``(beta_c / N) * d``.
     """
     n, grid = config.n_firms, config.grid
     dt, sqdt = grid.dt, math.sqrt(grid.dt)
@@ -493,7 +481,7 @@ def reference_batch(config, replications):
     lam = per_firm([a.lambda_init for a in atoms])
     firm_rngs = [np.random.Generator(np.random.SFC64(stream(r, simulate_module._STREAM_FIRM)))
                  for r in replications]
-    thresholds = np.stack([g.standard_exponential(n) for g in firm_rngs]) * (2.0 / dt)
+    clock = np.stack([g.standard_exponential(n) for g in firm_rngs]) * (2.0 / dt)
     firm = np.arange(n)
     word_of, bit_of = firm // 64, (firm % 64).astype(np.uint64)
 
@@ -507,7 +495,6 @@ def reference_batch(config, replications):
                    for r in replications]
     x = np.full(len(replications), config.factor.x_init)
 
-    integrated = np.zeros_like(lam)
     alive = np.ones(lam.shape, dtype=bool)
     defaults = np.zeros(len(replications), dtype=np.int64)
     l_path = np.zeros((len(replications), grid.n_steps + 1))
@@ -537,11 +524,9 @@ def reference_batch(config, replications):
                 rep, firm = np.unravel_index(np.argmin(finite), finite.shape)
                 raise NonFiniteStateError(replications[rep], int(firm), k + 1)
             # in units of dt/2
-            integrated = np.where(
-                alive, integrated + lam_plus + np.maximum(lam_new, 0.0), integrated
-            )
+            clock = np.where(alive, clock - lam_plus - np.maximum(lam_new, 0.0), clock)
             lam = lam_new
-            newly = alive & (integrated >= thresholds)
+            newly = alive & (clock <= 0.0)
             if newly.any():
                 d = np.count_nonzero(newly, axis=1)
                 alive &= ~newly
@@ -610,8 +595,8 @@ class TestReferenceKernel:
             assert np.all(l_path[:, -1] > 0.0)
         for i, result in enumerate(results):
             np.testing.assert_array_equal(result.l_path.values, l_path[i])
-            np.testing.assert_array_equal(moment_diagnostic(result, 1).values, m1[i])
-            np.testing.assert_array_equal(moment_diagnostic(result, 2).values, m2[i])
+            np.testing.assert_array_equal(result.m1.values, m1[i])
+            np.testing.assert_array_equal(result.m2.values, m2[i])
 
     def test_nonfinite_after_compaction_names_the_cell(self):
         # one batch of 3 x 12 cells: the error names the first live cell to
@@ -635,17 +620,23 @@ class TestReferenceKernel:
 
 
 # sha256 of the L paths, replication by replication, of
-# GOLDEN_CONFIG's three replications under RNG_CONTRACT 5, which kept
-# contract 4's digest: its rounding moved none of these L-path bits.  If a
-# change moves a simulated bit on purpose, bump RNG_CONTRACT and this digest.
+# GOLDEN_CONFIG's three replications under RNG_CONTRACT 6, which kept
+# contract 4's digest: the rounding of contracts 5 and 6 moved none of these
+# L-path bits.  If a change moves a simulated bit on purpose, bump
+# RNG_CONTRACT and this digest.
 GOLDEN_SHA256 = "d2bacce25cf92508b0c32be39911e88905e1fd9291d21141bd26c69cf9a6a91b"
 
 
-def test_rng_contract_5_bits_pinned():
+def test_rng_contract_6_bits_pinned():
     config = make_config(n_firms=50, measure=TWO_ATOMS, grid=TimeGrid(1.0, 100), seed=2024)
     assert config.factor.eps(50) != 0.0  # the factor term runs
     digest = hashlib.sha256()
     for result in run_replications(config, 3).results:
         digest.update(result.l_path.values.tobytes())
-    assert simulate_module.RNG_CONTRACT == 5
+    assert simulate_module.RNG_CONTRACT == 6
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_readme_states_the_rng_contract():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert f'"rng_contract": {simulate_module.RNG_CONTRACT}' in readme
