@@ -51,7 +51,8 @@ lam+ + albar``, then adds the noise ``sqrt(lam+) * (sigma sqrt(dt)) *
 (+-1)``.  The clock starts at the threshold times ``2 / dt`` and runs in
 units of dt/2, ``-= lam+`` then ``-= max(lam, 0)``; a firm defaults when
 its clock is ``<= 0``.  ``d`` simultaneous defaults add ``(beta_c / N) *
-d``.  The shared factor and the sampled atom assignment have streams of
+d``.  The shared factor moves as ``x exp(-gamma dt) + sqrt(-expm1(-2 gamma
+dt) / (2 gamma)) Z``; it and the sampled atom assignment have streams of
 their own under the same key.  A replication's output is
 therefore bit-identical however the replications are batched, on any
 host; a firm's noise does depend on N.
@@ -187,7 +188,8 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
 
     gamma = config.factor.gamma
     ou_decay = math.exp(-gamma * dt)
-    ou_scale = math.sqrt((1.0 - math.exp(-2.0 * gamma * dt)) / (2.0 * gamma))
+    # expm1: 1 - exp(-2 gamma dt) cancels to 0 for tiny gamma dt
+    ou_scale = math.sqrt(-math.expm1(-2.0 * gamma * dt) / (2.0 * gamma))
     eps = config.factor.eps(n)
     # With zero exposure the factor term is skipped entirely, so the factor
     # stream provably cannot influence firm states.  Deciding from the

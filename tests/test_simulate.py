@@ -309,6 +309,17 @@ class TestOracles:
             finals[name] = np.array([r.l_path.values[-1] for r in reps.results])
         assert finals["fixed"].var() > finals["sqrt"].var()
 
+    def test_factor_moves_at_tiny_gamma(self):
+        # the OU step's scale sqrt((1 - exp(-2 gamma dt)) / (2 gamma)) tends
+        # to sqrt(dt) as gamma -> 0, but taken literally it cancels to 0 at
+        # gamma = 1e-17, dt = 1e-3, and the exposed pool runs as if eps were 0
+        m = homogeneous_measure(FirmType(4.0, 0.5, 0.9, 2.0, beta_s=2.0), 0.5)
+        on, off = (simulate(make_config(
+            measure=m, grid=TimeGrid(1.0, 1000),
+            factor=SystematicFactorConfig(gamma=1e-17, eps=EpsSchedule(kind, 1.0))))
+            for kind in ("fixed", "zero"))
+        assert not np.array_equal(on.l_path.values, off.l_path.values)
+
     # Fixed before the first run: the seed, and the 0.999 quantile of
     # chi-square with 10 degrees of freedom (10 step bins and survival).
     BINOMIAL_SEED = 20260810
@@ -458,7 +469,9 @@ def reference_batch(config, replications):
     clear); the drift ``albar - (alpha dt) * lam+`` with
     ``albar = (alpha dt) * lbar``, or with the factor on drift and factor
     term as ``((eps beta_s) * dx - alpha dt) * lam+ + albar``; the noise
-    ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)`` added to that; each firm's
+    ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)`` added to that, where ``dx``
+    is the factor's step ``x exp(-gamma dt) + sqrt(-expm1(-2 gamma dt) /
+    (2 gamma)) Z - x``; each firm's
     clock, its threshold times ``2 / dt`` less its integrated intensity in
     units of dt/2, ``- lam+ - max(lam, 0)``, a default where it is
     ``<= 0``; and the jump ``(beta_c / N) * d``.
@@ -487,7 +500,7 @@ def reference_batch(config, replications):
 
     gamma = config.factor.gamma
     ou_decay = math.exp(-gamma * dt)
-    ou_scale = math.sqrt((1.0 - math.exp(-2.0 * gamma * dt)) / (2.0 * gamma))
+    ou_scale = math.sqrt(-math.expm1(-2.0 * gamma * dt) / (2.0 * gamma))
     eps = config.factor.eps(n)
     factor_active = eps != 0.0 and any(a.firm_type.beta_s != 0.0 for a in atoms)
     exposure = eps * per_firm([a.firm_type.beta_s for a in atoms])
