@@ -53,9 +53,9 @@ units of dt/2, ``-= lam+`` then ``-= max(lam, 0)``; a firm defaults when
 its clock is ``<= 0``.  ``d`` simultaneous defaults add ``(beta_c / N) *
 d``.  The shared factor moves as ``x exp(-gamma dt) + sqrt(-expm1(-2 gamma
 dt) / (2 gamma)) Z``; it and the sampled atom assignment have streams of
-their own under the same key.  A replication's output is
-therefore bit-identical however the replications are batched, on any
-host; a firm's noise does depend on N.
+their own under the same key.  A replication's output is therefore
+bit-identical however the replications are batched, on any host; a
+firm's noise does depend on N.
 """
 
 from __future__ import annotations
@@ -208,7 +208,6 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     # intensity, in units of dt/2, so the thresholds are scaled by 2/dt
     # once, here.  A defaulted firm's clock is NaN, which never runs out;
     # the firm is still stepped, with zero coefficients.
-    shape = (width, n)
     alpha_dt = per_cell([a.firm_type.alpha * dt for a in atoms])
     albar = per_cell([a.firm_type.alpha * dt * a.firm_type.lambda_bar for a in atoms])
     sigma_sqdt = per_cell([a.firm_type.sigma * sqdt for a in atoms])
@@ -219,7 +218,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     clock = np.stack([g.standard_exponential(n) for g in firm_rngs])
     clock *= 2.0 / dt
     lam_plus, incr, term = np.empty((3, width, n))
-    hit = np.empty(shape, dtype=bool)
+    hit = np.empty((width, n), dtype=bool)
 
     # the factor normals of one block of steps
     factor_normals = np.empty((width, min(_SIGN_BLOCK, n_steps)))
@@ -408,4 +407,3 @@ def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
         q10=Trajectory(grid, q10),
         q90=Trajectory(grid, q90),
     )
-

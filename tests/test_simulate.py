@@ -471,10 +471,9 @@ def reference_batch(config, replications):
     term as ``((eps beta_s) * dx - alpha dt) * lam+ + albar``; the noise
     ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)`` added to that, where ``dx``
     is the factor's step ``x exp(-gamma dt) + sqrt(-expm1(-2 gamma dt) /
-    (2 gamma)) Z - x``; each firm's
-    clock, its threshold times ``2 / dt`` less its integrated intensity in
-    units of dt/2, ``- lam+ - max(lam, 0)``, a default where it is
-    ``<= 0``; and the jump ``(beta_c / N) * d``.
+    (2 gamma)) Z - x``; each firm's clock, its threshold times ``2 / dt``
+    less its integrated intensity in units of dt/2, ``- lam+ - max(lam,
+    0)``, a default where it is ``<= 0``; and the jump ``(beta_c / N) * d``.
     """
     n, grid = config.n_firms, config.grid
     dt, sqdt = grid.dt, math.sqrt(grid.dt)
