@@ -42,7 +42,6 @@ from .model import (
     Trajectory,
     TypeAtom,
     homogeneous_measure,
-    product_measure,
     validate_measure,
 )
 from .riccati import RiccatiSolution, saturation_level, solve_riccati
@@ -60,7 +59,7 @@ __all__ = [
     # model
     "DEFAULT_CAP", "FirmType", "TypeAtom", "DiscreteTypeMeasure", "EpsSchedule",
     "SystematicFactorConfig", "TimeGrid", "Trajectory",
-    "validate_measure", "product_measure", "homogeneous_measure",
+    "validate_measure", "homogeneous_measure",
     # riccati / limit
     "RiccatiSolution", "solve_riccati", "saturation_level", "riccati_for_measure",
     "LimitSolution", "solve_q", "compute_f", "f_derivative",

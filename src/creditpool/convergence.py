@@ -66,10 +66,6 @@ class ConvergenceReport:
     #: (smaller) size; reported, never fatal, since small ladders are noisy
     median_violations: tuple[int, ...]
 
-    @property
-    def n_values(self) -> tuple[int, ...]:
-        return tuple(c.n_firms for c in self.cells)
-
 
 def check_ladder(n_values: list[int], n_reps: int) -> None:
     """The rules of every pool-size ladder: at least one pool size, each

@@ -69,10 +69,6 @@ class ValidationError(CreditPoolError):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
 
-    @property
-    def codes(self):
-        return tuple(v.code for v in self.violations)
-
 
 class ConfigError(CreditPoolError):
     """Configuration file missing, unreadable, or structurally invalid."""

@@ -11,10 +11,11 @@ closed form
 
 with b_a the Riccati trajectory of the atom's firm class, and the limit
 default rate is F(t) = 1 - sum_a w_a S_a(t).  The fixed point is computed
-by Picard iteration with trapezoid quadrature for all
-time-convolutions on a shared uniform grid.  Atoms of one firm type share
-one Riccati solve, and a sweep convolves q with each distinct kernel once,
-through FFT spectra cached for the whole solve.
+by Picard iteration with trapezoid quadrature for all time-convolutions
+on a shared uniform grid; one private loop, :func:`_picard`, holds the
+stop rule of every route.  Atoms of one firm type share one Riccati
+solve, and a sweep convolves q with each distinct kernel once, through
+FFT spectra cached for the whole solve.
 
 The Picard map sends q to sum_a w_a beta_c_a D_a exp(-E_a), where E_a
 is the exponent above and D_a its time-slope.  :func:`solve_q` returns a
@@ -32,7 +33,8 @@ itself in the integral equation
            b_dot(t-r) dr - b(t) lam0 ),
 
 implemented by :func:`solve_homogeneous_f` and used as an oracle for the
-general path.  The two discretizations agree at O(beta_c * dt^2).
+general path.  Both routes stop by the same rule and report a non-finite
+sweep the same way.  The two discretizations agree at O(beta_c * dt^2).
 """
 
 from __future__ import annotations
@@ -164,6 +166,7 @@ class LimitSolution:
         return self.q.grid
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sweep is reported by _picard
 def solve_q(
     measure: DiscreteTypeMeasure,
     riccati: tuple[RiccatiSolution, ...],
@@ -173,35 +176,20 @@ def solve_q(
 ) -> LimitSolution:
     """Picard iteration for the contagion forcing, started from q = 0.
 
-    Stops when the sup-norm change of one sweep is <= tol, and builds F
-    from that sweep's exponents.
-
-    Raises :class:`NoConvergenceError` after ``max_iter`` sweeps, and
-    :class:`NonFiniteResultError` if a sweep produces non-finite values or
-    values below -tol (the limit forcing is provably nonnegative, so
+    Stops by :func:`_picard`'s rule, and builds F from the last sweep's
+    exponents.  Also raises :class:`NonFiniteResultError` if the forcing
+    ends below -tol (the limit forcing is provably nonnegative, so
     anything materially negative is a bug, not round-off).
     """
-    check_iteration(tol, max_iter)
     kern = _AtomKernels(measure, riccati, grid)
     contagion = kern.weight * kern.beta_c
-    q = np.zeros(grid.n_points)
-    history = []
-    for iteration in range(1, max_iter + 1):
+
+    def sweep(q):
         E, D = kern.exponents_and_slopes(q)
         survival = np.exp(-E)
-        q_new = contagion @ (D * survival)
-        if not np.all(np.isfinite(q_new)):
-            raise NonFiniteResultError(
-                f"fixed-point sweep {iteration} produced non-finite forcing"
-            )
-        residual = float(np.max(np.abs(q_new - q)))
-        history.append(residual)
-        q = q_new
-        if residual <= tol:
-            break
-    else:
-        raise NoConvergenceError(max_iter, history[-1], tol)
+        return contagion @ (D * survival), E, D, survival
 
+    (q, E, D, survival), history = _picard(sweep, np.zeros(grid.n_points), tol, max_iter)
     low = q.min()
     if low < -tol:
         raise NonFiniteResultError(
@@ -215,13 +203,36 @@ def solve_q(
         riccati=tuple(riccati),
         q=Trajectory(grid, q),
         f=Trajectory(grid, 1.0 - kern.weight @ survival),
-        iterations=iteration,
-        residual=residual,
+        iterations=len(history),
+        residual=history[-1],
         residual_history=tuple(history),
         exponents=_read_only(E),
         slopes=_read_only(D),
         _kernels=kern,
     )
+
+
+def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
+    """The stop rule of both limit routes: iterate ``sweep`` from ``start``.
+
+    ``sweep`` maps an iterate to a tuple whose first entry is the next
+    iterate.  Stops once a sweep changes the iterate by <= ``tol`` in the
+    sup norm, and returns that sweep's tuple with the residual history.
+    Raises :class:`NonFiniteResultError` at the first sweep whose iterate
+    is not finite, and :class:`NoConvergenceError` after ``max_iter``.
+    """
+    check_iteration(tol, max_iter)
+    x = start
+    history = []
+    for iteration in range(1, max_iter + 1):
+        out = sweep(x)
+        if not np.all(np.isfinite(out[0])):
+            raise NonFiniteResultError(f"fixed-point sweep {iteration} produced non-finite values")
+        history.append(float(np.max(np.abs(out[0] - x))))
+        x = out[0]
+        if history[-1] <= tol:
+            return out, history
+    raise NoConvergenceError(max_iter, history[-1], tol)
 
 
 def check_iteration(tol: float, max_iter: int) -> None:
@@ -262,6 +273,7 @@ def f_derivative(limit: LimitSolution) -> Trajectory:
     return Trajectory(limit.grid, limit._kernels.weight @ masses)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sweep is reported by _picard
 def solve_homogeneous_f(
     firm_type: FirmType,
     lambda_init: float,
@@ -273,26 +285,17 @@ def solve_homogeneous_f(
 
     Independent of the contagion-forcing route: discretizes the
     homogeneous integral equation for F with the same trapezoid rule and
-    iterates from F = 0.  With beta_c = 0 the equation has no
-    self-reference and the first sweep already lands on the explicit
-    contagion-free formula.
+    iterates from F = 0, under the same stop rule (:func:`_picard`).  With
+    beta_c = 0 the equation has no self-reference and the first sweep
+    already lands on the explicit contagion-free formula.
     """
-    check_iteration(tol, max_iter)
     ric = solve_riccati(firm_type, grid)
     b = ric.b.values
-    b_dot = ric.b_dot.values
     dt = grid.dt
     base = firm_type.alpha * firm_type.lambda_bar * prefix_trapezoid(b, dt) + b * lambda_init
-    kernel = TrapezoidKernel(b_dot, dt)
-    f = np.zeros(grid.n_points)
-    for iteration in range(1, max_iter + 1):
-        f_new = 1.0 - np.exp(-base - firm_type.beta_c * kernel.apply(f))
-        residual = float(np.max(np.abs(f_new - f)))
-        f = f_new
-        if residual <= tol:
-            break
-    else:
-        raise NoConvergenceError(max_iter, residual, tol)
+    kernel = TrapezoidKernel(ric.b_dot.values, dt)
+    (f,), _ = _picard(lambda f: (1.0 - np.exp(-base - firm_type.beta_c * kernel.apply(f)),),
+                      np.zeros(grid.n_points), tol, max_iter)
     return Trajectory(grid, f)
 
 

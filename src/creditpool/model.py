@@ -109,13 +109,6 @@ class DiscreteTypeMeasure:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    @property
-    def total_weight(self) -> float:
-        return math.fsum(a.weight for a in self.atoms)
-
-    def weights(self) -> np.ndarray:
-        return np.array([a.weight for a in self.atoms])
-
 
 @dataclass(frozen=True)
 class EpsSchedule:
@@ -203,9 +196,6 @@ class TimeGrid:
             raise ValueError(f"t={t} is not a grid point")
         return k
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.t_end, self.n_steps * factor)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -226,9 +216,6 @@ class Trajectory:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def __getitem__(self, k):
-        return self.values[k]
 
     def sup_distance(self, other: "Trajectory") -> float:
         if self.grid != other.grid:
@@ -281,39 +268,13 @@ def validate_measure(measure: DiscreteTypeMeasure, cap: float = DEFAULT_CAP) -> 
     violations: list[Violation] = []
     for i, atom in enumerate(measure.atoms):
         _check_atom(atom, cap, f"atoms[{i}]", violations)
-    total = measure.total_weight
+    total = math.fsum(a.weight for a in measure.atoms)
     if not abs(total - 1.0) <= WEIGHT_TOL:
         violations.append(Violation("WEIGHT_SUM_MISMATCH", "atoms",
                                     f"weights sum to {total!r}, expected 1"))
     if violations:
         raise ValidationError(violations)
     return measure
-
-
-def product_measure(
-    types: list[tuple[FirmType, float]],
-    inits: list[tuple[float, float]],
-) -> DiscreteTypeMeasure:
-    """Product of a type distribution and an initial-intensity distribution.
-
-    Both factor lists must individually have weights summing to one.  The
-    result has ``len(types) * len(inits)`` atoms in type-major order with
-    product weights.
-    """
-    violations = []
-    for name, factor in (("types", types), ("inits", inits)):
-        total = math.fsum(w for _, w in factor)
-        if not abs(total - 1.0) <= WEIGHT_TOL:
-            violations.append(Violation("WEIGHT_SUM_MISMATCH", name,
-                                        f"weights sum to {total!r}, expected 1"))
-    if violations:
-        raise ValidationError(violations)
-    atoms = [
-        TypeAtom(firm_type=ft, lambda_init=lam, weight=wt * wl)
-        for ft, wt in types
-        for lam, wl in inits
-    ]
-    return DiscreteTypeMeasure(atoms=tuple(atoms))
 
 
 def homogeneous_measure(firm_type: FirmType, lambda_init: float) -> DiscreteTypeMeasure:

@@ -157,7 +157,7 @@ def _seed_sequence(seed: int, replication: int, tag: int) -> np.random.SeedSeque
 
 
 def _atom_assignment(config: SimConfig, replication: int) -> np.ndarray:
-    weights = config.measure.weights()
+    weights = np.array([a.weight for a in config.measure.atoms])
     if config.assignment == "proportional":
         counts = proportional_counts(weights, config.n_firms)
         return np.repeat(np.arange(len(weights)), counts)

@@ -805,3 +805,14 @@ def test_python_m_creditpool_reports_a_bad_key_in_one_line(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("error (") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["limit", "converge"])
+def test_nonfinite_limit_solve_reports_in_one_line(tmp_path, command):
+    # the solve's overflow is reported once, by the error, not by numpy warnings
+    done = _python_m_creditpool(
+        tmp_path, command, "--set", "grid.t_end=1e306", "--set", "grid.n_steps=4",
+        "--set", "measure.atoms.0.alpha=0", "--set", "measure.atoms.0.sigma=0",
+        "--set", "measure.atoms.0.lambda_bar=0")
+    assert done.returncode == 4
+    assert done.stderr.startswith("error (NONFINITE_RESULT)") and done.stderr.count("\n") == 1

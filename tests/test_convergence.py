@@ -29,7 +29,7 @@ class TestLlnExperiment:
         report = lln_experiment(
             CONSTANT_INTENSITY, factor, grid, [50, 400], n_reps=4, seed=11
         )
-        assert report.n_values == (50, 400)
+        assert [c.n_firms for c in report.cells] == [50, 400]
         for cell in report.cells:
             assert cell.n_reps == 4
             assert len(cell.distances) == 4

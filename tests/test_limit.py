@@ -7,12 +7,12 @@ from creditpool import (
     DiscreteTypeMeasure,
     FirmType,
     NoConvergenceError,
+    NonFiniteResultError,
     TimeGrid,
     TypeAtom,
     compute_f,
     f_derivative,
     homogeneous_measure,
-    product_measure,
     q_identity_diagnostic,
     riccati_for_measure,
     solve_homogeneous_f,
@@ -146,6 +146,24 @@ class TestHomogeneousRoute:
             solve_homogeneous_f(BASE, BASE_LAMBDA_INIT, grid_coarse, max_iter=2)
 
 
+# b(t) = t on this grid, so the first sweep's exponents overflow
+OVERFLOWING_TYPE = FirmType(0.0, 0.0, 0.0, 2.0)
+OVERFLOWING_GRID = TimeGrid(1e306, 4)
+
+
+class TestNonFiniteSweep:
+    """Both routes stop at the first non-finite sweep, with no numpy warning."""
+
+    def test_forcing_route(self):
+        with pytest.raises(NonFiniteResultError, match="sweep 1 "):
+            solve_limit(homogeneous_measure(OVERFLOWING_TYPE, 0.5), OVERFLOWING_GRID)
+
+    def test_homogeneous_route(self):
+        # a NaN sweep ends the solve; it must not run on to max_iter
+        with pytest.raises(NonFiniteResultError, match="sweep 1 "):
+            solve_homogeneous_f(OVERFLOWING_TYPE, 0.5, OVERFLOWING_GRID)
+
+
 class TestSolveLimit:
     def test_bundles_everything(self, base_measure, grid_1k):
         sol = solve_limit(base_measure, grid_1k)
@@ -206,7 +224,9 @@ def per_atom_picard(measure, grid, tol, riccati=None):
 def two_by_three():
     types = [(FirmType(4.0, 0.5, 0.9, 2.0), 0.5), (FirmType(2.0, 0.3, 0.5, 1.0), 0.3),
              (FirmType(6.0, 0.8, 1.2, 3.0), 0.2)]
-    return product_measure(types, [(0.2, 0.5), (0.9, 0.5)])
+    inits = [(0.2, 0.5), (0.9, 0.5)]
+    return DiscreteTypeMeasure(tuple(TypeAtom(ft, lam, wt * wl)
+                                     for ft, wt in types for lam, wl in inits))
 
 
 class TestBatchedKernel:
