@@ -467,7 +467,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error (IO): {exc}", file=sys.stderr)
         return 5
-
-
-if __name__ == "__main__":
-    sys.exit(main())

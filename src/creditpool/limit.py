@@ -39,12 +39,14 @@ sweep the same way.  The two discretizations agree at O(beta_c * dt^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FieldError, NoConvergenceError, NonFiniteResultError
-from .model import DiscreteTypeMeasure, FirmType, TimeGrid, Trajectory
+from .model import (DiscreteTypeMeasure, FirmType, TimeGrid, Trajectory,
+                    homogeneous_measure, validate_measure)
 from .quadrature import TrapezoidKernel, conv_simpson, prefix_trapezoid
 from .quadrature import conv_trapezoid  # noqa: F401 - perfbench patches it here
 from .riccati import RiccatiSolution, solve_riccati
@@ -70,6 +72,10 @@ def riccati_for_measure(
 class _AtomKernels:
     """Per-atom coefficients over one kernel row per distinct Riccati solution.
 
+    The forcing route's one door for a measure: :func:`solve_q` and
+    :func:`compute_f` build one, and it first checks the measure as the
+    simulator does (signs, finiteness and weight sum; no cap).
+
     Rows are keyed by the identity of each solution object:
     :func:`riccati_for_measure` shares one object per firm type, so atoms
     of one type share a row, while two separately solved kernels (say a
@@ -83,12 +89,14 @@ class _AtomKernels:
     """
 
     def __init__(self, measure, riccati, grid):
-        if len(riccati) != len(measure.atoms):
+        validate_measure(measure, cap=math.inf)
+        atoms = measure.atoms
+        if len(riccati) != len(atoms):
             raise ValueError("need exactly one Riccati solution per atom")
         rows: dict[int, int] = {}
         distinct = []
         row_of_atom = []
-        for atom, ric in zip(measure.atoms, riccati):
+        for atom, ric in zip(atoms, riccati):
             if ric.grid != grid:
                 raise ValueError("Riccati solutions must share the solver grid")
             if ric.firm_type != atom.firm_type:
@@ -98,46 +106,41 @@ class _AtomKernels:
                 distinct.append(ric)
             row_of_atom.append(rows[id(ric)])
         self.dt = grid.dt
-        self.n_atoms = len(measure.atoms)
-        self.weight = np.array([a.weight for a in measure.atoms])
-        self.beta_c = np.array([a.firm_type.beta_c for a in measure.atoms])
-        lam0 = np.array([a.lambda_init for a in measure.atoms])
-        force = np.array([a.firm_type.alpha * a.firm_type.lambda_bar for a in measure.atoms])
-        # Rows 0..T-1 hold each distinct b, rows T..2T-1 its b_dot; the
-        # first n_atoms entries of ``index`` pick E rows, the rest D rows.
+        self.weight = np.array([a.weight for a in atoms])
+        # the Picard map's weights: q = contagion @ (D exp(-E))
+        self.contagion = self.weight * np.array([a.firm_type.beta_c for a in atoms])
+        self.lam0 = np.array([a.lambda_init for a in atoms])[:, None]
+        self.force = np.array([a.firm_type.alpha * a.firm_type.lambda_bar for a in atoms])[:, None]
+        # Rows 0..T-1 hold each distinct b, rows T..2T-1 its b_dot; row 0 of
+        # the (2, A) ``index`` picks each atom's b row, row 1 its b_dot row.
         self.kernels = np.stack([r.b.values for r in distinct]
                                 + [r.b_dot.values for r in distinct])
         row = np.array(row_of_atom)
-        self.index = np.concatenate([row, row + len(distinct)])
-        self.lam0 = np.concatenate([lam0, lam0])[:, None]
-        self.force = np.concatenate([force, force])[:, None]
+        self.index = np.stack([row, row + len(distinct)])
         self.trapezoid = TrapezoidKernel(self.kernels, self.dt)
         # the q-free part of E and D under the trapezoid rule
         self.constant = self._q_free(prefix_trapezoid(self.kernels, self.dt))
 
     def _q_free(self, conv_one: np.ndarray) -> np.ndarray:
-        """lam0_a h + c_a conv(h, 1) per E and D row, from each kernel's conv(h, 1)."""
+        """lam0_a h + c_a conv(h, 1) for E and D, from each kernel's conv(h, 1)."""
         i = self.index
         return self.lam0 * self.kernels[i] + self.force * conv_one[i]
 
-    def _split(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return stacked[: self.n_atoms], stacked[self.n_atoms :]
-
-    def exponents_and_slopes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per atom: exponent E_a(t) and its time-slope D_a(t) given forcing q.
+    def exponents_and_slopes(self, q: np.ndarray) -> np.ndarray:
+        """(2, A, n): per atom, exponent E_a(t) and its time-slope D_a(t) given q.
 
         The survival probability is exp(-E_a) and the surviving intensity
         mass is D_a * exp(-E_a).  Trapezoid quadrature: one forward FFT of
         q and one batched inverse over the cached kernel spectra.
         """
         conv_q = self.trapezoid.apply(q)
-        return self._split(self.constant + conv_q[self.index])
+        return self.constant + conv_q[self.index]
 
-    def simpson_exponents_and_slopes(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def simpson_exponents_and_slopes(self, q: np.ndarray) -> np.ndarray:
         """As :meth:`exponents_and_slopes`, with Simpson quadrature throughout."""
         conv_q = conv_simpson(self.kernels, q, self.dt)
         conv_one = conv_simpson(self.kernels, np.ones_like(q), self.dt)
-        return self._split(self._q_free(conv_one) + conv_q[self.index])
+        return self._q_free(conv_one) + conv_q[self.index]
 
 
 @dataclass(frozen=True)
@@ -182,12 +185,11 @@ def solve_q(
     anything materially negative is a bug, not round-off).
     """
     kern = _AtomKernels(measure, riccati, grid)
-    contagion = kern.weight * kern.beta_c
 
     def sweep(q):
         E, D = kern.exponents_and_slopes(q)
         survival = np.exp(-E)
-        return contagion @ (D * survival), E, D, survival
+        return kern.contagion @ (D * survival), E, D, survival
 
     (q, E, D, survival), history = _picard(sweep, np.zeros(grid.n_points), tol, max_iter)
     low = q.min()
@@ -289,6 +291,7 @@ def solve_homogeneous_f(
     beta_c = 0 the equation has no self-reference and the first sweep
     already lands on the explicit contagion-free formula.
     """
+    validate_measure(homogeneous_measure(firm_type, lambda_init), cap=math.inf)
     ric = solve_riccati(firm_type, grid)
     b = ric.b.values
     dt = grid.dt
@@ -320,4 +323,4 @@ def contagion_identity_rhs(limit: LimitSolution) -> Trajectory:
     """
     kern = limit._kernels
     E, D = kern.simpson_exponents_and_slopes(limit.q.values)
-    return Trajectory(limit.grid, kern.beta_c @ (kern.weight[:, None] * D * np.exp(-E)))
+    return Trajectory(limit.grid, kern.contagion @ (D * np.exp(-E)))

@@ -173,6 +173,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     replication and step) if a recorded moment does, such as the pool mean
     of finite intensities that overflows.
     """
+    validate_measure(config.measure, cap=math.inf)  # the one door: signs, weight sum
     n = config.n_firms
     grid = config.grid
     n_steps = grid.n_steps
@@ -341,7 +342,6 @@ def simulate(config: SimConfig, replication: int = 0) -> SimResult:
     replication = whole_number(replication, "replication")
     if replication < 0:
         raise FieldError("replication", f"must be >= 0, got {replication!r}")
-    validate_measure(config.measure, cap=math.inf)  # signs and weight sum
     return _simulate_batch(config, range(replication, replication + 1))[0]
 
 
@@ -391,7 +391,6 @@ def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
     n_reps = whole_number(n_reps, "n_reps")
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    validate_measure(config.measure, cap=math.inf)  # signs and weight sum
     width = max(1, _CELL_BUDGET // config.n_firms)
     results = tuple(
         result

@@ -5,8 +5,9 @@
 ``capturing(module, "name", ...)``.  Deleting or renaming one of them
 breaks every benchmark run of that workload without failing anything
 else, so these tests parse the worker and check each name it uses.  A
-traced run also reads results through the tracer's hooks, so one traced
-sim run checks that they read nothing the package dropped.
+traced run also reads results through the tracer's hooks, so a traced
+sim run and a traced limit run check that they read nothing the package
+dropped.
 """
 
 import ast
@@ -63,8 +64,9 @@ def _load_worker():
         sys.path.remove(str(WORKER_PY.parent))
 
 
-def test_traced_sim_run_has_no_failed_job():
+@pytest.mark.parametrize("workload", ["sim-small-pools", "grid-refine"])
+def test_traced_run_has_no_failed_job(workload):
     worker = _load_worker()
-    loop = worker.run_jobs("sim-small-pools", 11, 0.0, True, worker.load_program())["loop"]
+    loop = worker.run_jobs(workload, 11, 0.0, True, worker.load_program())["loop"]
     assert loop["traced"] and loop["untraced"]
     assert loop["failed"] == 0, loop["failures"]

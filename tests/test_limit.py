@@ -9,7 +9,9 @@ from creditpool import (
     NoConvergenceError,
     NonFiniteResultError,
     TimeGrid,
+    Trajectory,
     TypeAtom,
+    ValidationError,
     compute_f,
     f_derivative,
     homogeneous_measure,
@@ -162,6 +164,43 @@ class TestNonFiniteSweep:
         # a NaN sweep ends the solve; it must not run on to max_iter
         with pytest.raises(NonFiniteResultError, match="sweep 1 "):
             solve_homogeneous_f(OVERFLOWING_TYPE, 0.5, OVERFLOWING_GRID)
+
+
+# one-atom measures the simulator rejects, and the field each one names
+INVALID_ATOMS = {
+    "weight-2": (TypeAtom(BASE, BASE_LAMBDA_INIT, 2.0), "atoms"),
+    "sigma-negative": (TypeAtom(FirmType(4.0, 0.5, -0.9, 2.0), BASE_LAMBDA_INIT, 1.0),
+                       "atoms[0].firm_type.sigma"),
+    "lambda-init-negative": (TypeAtom(BASE, -0.5, 1.0), "atoms[0].lambda_init"),
+}
+
+
+def _solve_q(m, grid):
+    return solve_q(m, riccati_for_measure(m, grid), grid)
+
+
+def _compute_f(m, grid):
+    return compute_f(m, riccati_for_measure(m, grid), Trajectory(grid, np.zeros(grid.n_points)))
+
+
+class TestMeasureCheck:
+    """The limit solver rejects every measure the simulator rejects."""
+
+    @pytest.mark.parametrize("case", INVALID_ATOMS)
+    @pytest.mark.parametrize("call", [solve_limit, _solve_q, _compute_f],
+                             ids=["solve_limit", "solve_q", "compute_f"])
+    def test_forcing_route(self, call, case, grid_coarse):
+        atom, where = INVALID_ATOMS[case]
+        with pytest.raises(ValidationError) as err:
+            call(DiscreteTypeMeasure((atom,)), grid_coarse)
+        assert [v.where for v in err.value.violations] == [where]
+
+    @pytest.mark.parametrize("case", ["sigma-negative", "lambda-init-negative"])
+    def test_homogeneous_route(self, case, grid_coarse):
+        atom, where = INVALID_ATOMS[case]
+        with pytest.raises(ValidationError) as err:
+            solve_homogeneous_f(atom.firm_type, atom.lambda_init, grid_coarse)
+        assert [v.where for v in err.value.violations] == [where]
 
 
 class TestSolveLimit:

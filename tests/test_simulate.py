@@ -19,6 +19,7 @@ from creditpool import (
     SystematicFactorConfig,
     TimeGrid,
     TypeAtom,
+    ValidationError,
     homogeneous_measure,
     proportional_counts,
     run_replications,
@@ -432,6 +433,15 @@ class TestAssignment:
             simulate(config, -1)
         assert err.value.field == "replication"
         assert simulate(config, 2.0).replication == 2
+
+    @pytest.mark.parametrize("run", [simulate, lambda c: run_replications(c, 3)],
+                             ids=["simulate", "run_replications"])
+    def test_measure_weights_must_sum_to_one(self, run):
+        config = make_config(n_firms=5, grid=TimeGrid(1.0, 5),
+                             measure=DiscreteTypeMeasure((TypeAtom(BASE, 0.5, 2.0),)))
+        with pytest.raises(ValidationError) as err:
+            run(config)
+        assert [v.where for v in err.value.violations] == ["atoms"]
 
 
 class TestAggregates:
