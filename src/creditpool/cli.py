@@ -167,35 +167,35 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or fal
           float: "a number"}
 
 
-def _typed(value, default, where: str):
-    """``value`` checked against the JSON kind of ``default``, its counterpart
-    in :data:`DEFAULT_CONFIG`, with each number made the default's float or int.
-    An object may hold any of the default's keys; each entry of a list is
-    checked like the default's first; an int leaf takes :func:`whole_number`'s
-    values, at most :data:`MAX_SIZE` in a size field."""
+def _typed(value, default, section: str, where: str = ""):
+    """``value``, at path ``where`` in ``section``, checked against the JSON kind
+    of ``default``, its counterpart in :data:`DEFAULT_CONFIG`, with each number
+    made the default's float or int.  An object may hold any of the default's
+    keys; each entry of a list is checked like the default's first; an int leaf
+    takes :func:`whole_number`'s values, at most :data:`MAX_SIZE` in a size field."""
     kind = type(default)
     if kind is int:
         n = whole_number(value, where)
-        key = re.sub(r"\[\d+\]", "[]", where)
-        if n > MAX_SIZE and key in SIZE_FIELDS:
-            raise ConfigError(f"{key} must be <= {MAX_SIZE}, got {bounded_repr(value)}")
+        if n > MAX_SIZE and re.sub(r"\[\d+\]", "[]", f"{section}.{where}") in SIZE_FIELDS:
+            raise FieldError(where, f"must be <= {MAX_SIZE}, got {bounded_repr(value)}")
         return n
     # Python counts a bool as a number; a config never does
     if (not isinstance(value, (int, float) if kind is float else kind)
             or isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{where} must be {_KINDS[kind]}, got {bounded_repr(value)}")
+        raise FieldError(where, f"must be {_KINDS[kind]}, got {bounded_repr(value)}")
     if kind is dict:
         unknown = set(value) - set(default)
         if unknown:
-            raise ConfigError(f"{where} has unknown keys: {bounded_repr(sorted(unknown))}")
-        return {key: _typed(v, default[key], f"{where}.{key}") for key, v in value.items()}
+            raise FieldError(where, f"has unknown keys: {bounded_repr(sorted(unknown))}")
+        return {key: _typed(v, default[key], section, f"{where}.{key}" if where else key)
+                for key, v in value.items()}
     if kind is list:
-        return [_typed(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
+        return [_typed(v, default[0], section, f"{where}[{i}]") for i, v in enumerate(value)]
     if kind is float:
         try:
             return float(value)
         except OverflowError:  # an integer literal beyond the double range
-            raise ConfigError(f"{where} is out of range, got {bounded_repr(value)}") from None
+            raise FieldError(where, f"is out of range, got {bounded_repr(value)}") from None
     return value
 
 
@@ -205,7 +205,7 @@ def _typed(value, default, where: str):
 
 def _measure(cap: float, atoms: list[dict]) -> DiscreteTypeMeasure:
     if not math.isfinite(cap):  # validate_measure takes an infinite cap
-        raise ConfigError(f"measure.cap must be finite, got {cap!r}")
+        raise FieldError("cap", f"must be finite, got {cap!r}")
     # a key that an atom omits takes its value from the default atom
     atoms = [{**DEFAULT_CONFIG["measure"]["atoms"][0], **atom} for atom in atoms]
     measure = DiscreteTypeMeasure(atoms=tuple(
@@ -261,10 +261,9 @@ def resolve_config(config: dict) -> RunConfig:
         except ValidationError as exc:
             violations.extend(Violation(v.code, f"{name}.{v.where}", v.message)
                               for v in exc.violations)
-        except FieldError as exc:  # a domain constructor names the field
-            violations.append(Violation("INVALID_VALUE", f"{name}.{exc.field}", exc.reason))
-        except (ConfigError, ValueError) as exc:
-            violations.append(Violation("INVALID_VALUE", name, str(exc)))
+        except FieldError as exc:  # a value named by its path within the section
+            where = f"{name}.{exc.field}" if exc.field else name
+            violations.append(Violation("INVALID_VALUE", where, exc.reason))
         return None
 
     def sim_section(n_reps: int, **rest) -> dict:

@@ -27,9 +27,9 @@ def bounded_repr(value) -> str:
 
 
 class FieldError(ValueError):
-    """A constructor argument outside its domain: ``field`` names the
-    argument, ``reason`` says what it must be.  A caller that knows where
-    the value came from, such as a config path, puts that before ``field``."""
+    """A value outside its domain: ``field`` is its dotted path, ``reason``
+    what it must be.  A caller that knows where the value came from, such as
+    a config section, puts that before ``field``."""
 
     def __init__(self, field: str, reason: str):
         self.field = field
@@ -71,7 +71,8 @@ class ValidationError(CreditPoolError):
 
 
 class ConfigError(CreditPoolError):
-    """Configuration file missing, unreadable, or structurally invalid."""
+    """The config could not be read (file, JSON, ``--set`` syntax, unknown key,
+    a section that is no object); a value read but rejected is a FieldError."""
 
     code = "CONFIG_PARSE"
     exit_code = 2

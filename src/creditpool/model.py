@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,14 +36,14 @@ WEIGHT_TOL = 1e-12
 
 def whole_number(value, name: str) -> int:
     """``value`` as an int: an integer, a numpy integer or an integral float
-    (``1e3``).  A bool or a non-integral value raises :class:`ValueError`
-    instead of being truncated."""
+    (``1e3``).  A bool or a non-integral value raises :class:`FieldError`
+    ``name`` instead of being truncated."""
     if not isinstance(value, bool):
         if isinstance(value, numbers.Integral):
             return int(value)
         if isinstance(value, numbers.Real) and float(value).is_integer():
             return int(value)
-    raise ValueError(f"{name} must be an integer, got {bounded_repr(value)}")
+    raise FieldError(name, f"must be an integer, got {bounded_repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class DiscreteTypeMeasure:
     def __post_init__(self):
         atoms = tuple(self.atoms)
         if not atoms:
-            raise ValueError("measure needs at least one atom")
+            raise FieldError("atoms", "must hold at least one atom")
         object.__setattr__(self, "atoms", atoms)
 
     def __len__(self) -> int:
@@ -226,31 +227,26 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # validation and constructors
 
-_NONNEG_FIELDS = ("alpha", "lambda_bar", "sigma", "beta_c")
+#: The nonnegative, capped values of an atom: four rates and the initial intensity
+_NONNEG_FIELDS = ("firm_type.alpha", "firm_type.lambda_bar", "firm_type.sigma",
+                  "firm_type.beta_c", "lambda_init")
 
 
 def _check_atom(atom: TypeAtom, cap: float, where: str, out: list[Violation]) -> None:
-    ft = atom.firm_type
-    for name in _NONNEG_FIELDS:
-        x = getattr(ft, name)
+    for path in _NONNEG_FIELDS:
+        x = operator.attrgetter(path)(atom)
         if not (math.isfinite(x) and x >= 0.0):
-            out.append(Violation("NEGATIVE_PARAMETER", f"{where}.firm_type.{name}",
+            out.append(Violation("NEGATIVE_PARAMETER", f"{where}.{path}",
                                  f"must be finite and >= 0, got {x}"))
         elif x > cap:
-            out.append(Violation("CAP_EXCEEDED", f"{where}.firm_type.{name}",
-                                 f"{x} exceeds cap {cap}"))
+            out.append(Violation("CAP_EXCEEDED", f"{where}.{path}", f"{x} exceeds cap {cap}"))
+    ft = atom.firm_type
     if not math.isfinite(ft.beta_s):
         out.append(Violation("NEGATIVE_PARAMETER", f"{where}.firm_type.beta_s",
                              "must be finite"))
     elif abs(ft.beta_s) > cap:
         out.append(Violation("CAP_EXCEEDED", f"{where}.firm_type.beta_s",
                              f"|{ft.beta_s}| exceeds cap {cap}"))
-    if not (math.isfinite(atom.lambda_init) and atom.lambda_init >= 0.0):
-        out.append(Violation("NEGATIVE_PARAMETER", f"{where}.lambda_init",
-                             f"must be finite and >= 0, got {atom.lambda_init}"))
-    elif atom.lambda_init > cap:
-        out.append(Violation("CAP_EXCEEDED", f"{where}.lambda_init",
-                             f"{atom.lambda_init} exceeds cap {cap}"))
     if not (math.isfinite(atom.weight) and atom.weight > 0.0):
         out.append(Violation("NEGATIVE_PARAMETER", f"{where}.weight",
                              f"must be finite and > 0, got {atom.weight}"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteResultError
+from .errors import FieldError, NonFiniteResultError, bounded_repr
 from .model import FirmType, TimeGrid, Trajectory
 
 METHODS = ("closed_form", "rk4")
@@ -93,7 +93,7 @@ def solve_riccati(firm_type: FirmType, grid: TimeGrid, method: str = "closed_for
     to round-off by construction regardless of method.
     """
     if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+        raise FieldError("method", f"must be one of {METHODS}, got {bounded_repr(method)}")
     a, s = firm_type.alpha, firm_type.sigma
     if method == "closed_form":
         b = _closed_form(a, s, grid.points())

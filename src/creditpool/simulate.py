@@ -334,7 +334,7 @@ def simulate(config: SimConfig, replication: int = 0) -> SimResult:
     """Run one replication of the coupled-intensity pool.
 
     Bit-identical to the same replication inside :func:`run_replications`.
-    A ``replication`` that is no whole number >= 0 raises ``ValueError``.
+    A ``replication`` that is no whole number >= 0 raises :class:`FieldError`.
     Raises :class:`NonFiniteStateError` (reporting replication, firm and
     step) if any intensity becomes NaN or infinite, which signals a
     grid/parameter pathology rather than a statistical fluctuation.
@@ -390,7 +390,7 @@ def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
     """
     n_reps = whole_number(n_reps, "n_reps")
     if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
+        raise FieldError("n_reps", f"must be >= 1, got {n_reps!r}")
     width = max(1, _CELL_BUDGET // config.n_firms)
     results = tuple(
         result

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -250,6 +252,24 @@ class TestSimulateCommand:
         assert code == 2
         assert f"INVALID_VALUE at {override.split('=')[0]}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, path", [
+        ("sim.n_firms=2.5", "sim.n_firms"),
+        ("grid.n_steps=true", "grid.n_steps"),
+        ("solver.max_iter=1e400", "solver.max_iter"),
+        ("measure.cap=1e400", "measure.cap"),
+        ("measure.atoms=[]", "measure.atoms"),
+        ('measure.atoms=[{"bogus":1}]', "measure.atoms[0]"),
+        pytest.param("grid.t_end=" + "1" * 400, "grid.t_end", id="grid.t_end=400-digits"),
+        ("grid.n_steps=3000000000", "grid.n_steps"),
+        ("converge.n_values=[1,3000000000]", "converge.n_values[1]"),
+    ])
+    def test_every_rejected_value_names_its_path(self, tmp_path, capsys, override, path):
+        # a wrong kind, a size over the ceiling or a literal out of range was
+        # reported at the bare section, with the path inside the message
+        # ("INVALID_VALUE at sim: sim.n_firms must be an integer, got 2.5")
+        assert main(["limit", "--out", str(tmp_path), "--set", override]) == 2
+        assert f"INVALID_VALUE at {path}: " in capsys.readouterr().err
+
     def test_single_firm_pool_levels(self, tmp_path):
         code = main(
             ["simulate", "--out", str(tmp_path), "--set", "sim.n_firms=1",
@@ -385,7 +405,7 @@ def test_oversized_run_exits_before_computing(tmp_path, capsys, monkeypatch, com
     code = main([command, "--out", str(tmp_path), *(a for e in sets for a in ("--set", e))])
     assert code == 2
     field = sets[-1].split("=")[0]
-    assert f"{field} must be <= {MAX_SIZE}" in capsys.readouterr().err
+    assert f"at {field}: must be <= {MAX_SIZE}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, field", [
@@ -393,11 +413,11 @@ def test_oversized_run_exits_before_computing(tmp_path, capsys, monkeypatch, com
     ("sim.n_firms", "sim.n_firms"),
     ("sim.n_reps", "sim.n_reps"),
     ("converge.n_reps", "converge.n_reps"),
-    ("converge.n_values.1", "converge.n_values[]"),
+    ("converge.n_values.1", "converge.n_values[1]"),
 ])
 def test_size_ceiling_is_inclusive(key, field):
     resolve_config(load_config(None, [f"{key}={MAX_SIZE}"], None))
-    with pytest.raises(ValidationError, match=re.escape(f"{field} must be <= {MAX_SIZE}")):
+    with pytest.raises(ValidationError, match=re.escape(f"at {field}: must be <= {MAX_SIZE}")):
         resolve_config(load_config(None, [f"{key}={MAX_SIZE + 1}"], None))
 
 
@@ -414,6 +434,20 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
     assert "OUT_OF_MEMORY" in err and "7.28 TiB" in err
     assert "grid.n_steps=10, sim.n_firms=1000000000, sim.n_reps=20" in err
     assert not (tmp_path / "simulate_manifest.json").exists()
+
+
+def test_converge_out_of_memory_names_the_pool_sizes(tmp_path, capsys, monkeypatch):
+    def no_room(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli_module, "lln_experiment", no_room)
+    code = main(["converge", "--out", str(tmp_path), "--set", "grid.n_steps=10",
+                 "--set", "converge.n_values=[10,1e9]", "--set", "converge.n_reps=3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (OUT_OF_MEMORY): converge does not fit in memory at ")
+    assert "converge.n_values=[10, 1000000000], converge.n_reps=3" in err
+    assert not (tmp_path / "converge_manifest.json").exists()
 
 
 def test_error_names_every_broken_section(tmp_path, capsys):
@@ -632,6 +666,15 @@ def test_readme_configuration_block_is_the_default_config():
     assert json.loads(block) == DEFAULT_CONFIG
 
 
+def test_readme_states_the_error_contract(tmp_path, capsys):
+    # the README's example of a rejected value prints what it says
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    override, line = re.search(r"`--set (\S+)` prints\s+`(error [^`]+)`", readme).groups()
+    assert main(["limit", "--out", str(tmp_path), "--set", override]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert line.startswith("error (VALIDATION): INVALID_VALUE at grid.n_steps: ")
+
+
 def test_readme_size_sentence_names_the_size_fields():
     # "each `key` entry" names the entries of a list, which the check calls key[]
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -674,7 +717,12 @@ def test_fuzzed_leaf_exits_with_a_documented_code(tmp_path_factory, command, lea
     sets = [arg for expr in FUZZ_BASE + [f"{leaf}={json.dumps(value)}"]
             for arg in ("--set", expr)]
     out = tmp_path_factory.mktemp("fuzz")
-    assert main([command, "--out", str(out), *sets]) in {0, 2, 3, 4, 5}
+    err = io.StringIO()  # capsys is per test, not per example
+    with contextlib.redirect_stderr(err):
+        assert main([command, "--out", str(out), *sets]) in {0, 2, 3, 4, 5}
+    if err.getvalue().startswith("error (VALIDATION)"):
+        # a rejected value is named by its path, never by its bare section
+        assert not re.search(r"at (measure|factor|grid|solver|sim|converge): ", err.getvalue())
 
 
 # Config input: a --config file and --set go through one overlay, and every
@@ -731,6 +779,23 @@ def test_config_file_and_set_overlay_alike(tmp_path, key, value):
     assert from_file["grid"]["t_end"] == DEFAULT_CONFIG["grid"]["t_end"]
     if field:
         assert from_file[section][field] == value
+
+
+def test_set_without_equals_sign_exit_code(tmp_path, capsys):
+    assert main(["limit", "--out", str(tmp_path), "--set", "grid.n_steps"]) == 2
+    assert capsys.readouterr().err == ("error (CONFIG_PARSE): --set expects key=value, "
+                                       "got 'grid.n_steps'\n")
+
+
+def test_set_value_that_is_not_json_is_kept_as_a_string(tmp_path):
+    sizes = ["--set", "sim.n_firms=7", "--set", "sim.n_reps=3", "--set", "grid.n_steps=20"]
+    raw, quoted = tmp_path / "raw", tmp_path / "quoted"
+    assert main(["simulate", "--out", str(raw), *sizes, "--set", "sim.assignment=sampled"]) == 0
+    assert main(["simulate", "--out", str(quoted), *sizes,
+                 "--set", 'sim.assignment="sampled"']) == 0
+    assert (raw / "paths.csv").read_bytes() == (quoted / "paths.csv").read_bytes()
+    manifest = json.loads((raw / "simulate_manifest.json").read_text())
+    assert manifest["config"]["sim"]["assignment"] == "sampled"
 
 
 def test_set_negative_index_edits_the_last_atom():

@@ -75,6 +75,12 @@ class TestSolveQ:
         with pytest.raises(ValueError):
             solve_q(base_measure, (), grid_coarse)
 
+    def test_riccati_of_another_firm_type_rejected(self, base_measure, grid_coarse):
+        other = FirmType(BASE.alpha * 2, BASE.lambda_bar, BASE.sigma, BASE.beta_c)
+        riccati = (solve_riccati(other, grid_coarse),)
+        with pytest.raises(ValueError, match="does not match its atom"):
+            solve_q(base_measure, riccati, grid_coarse)
+
 
 class TestComputeF:
     def test_starts_at_zero_monotone_bounded(self, base_measure, grid_1k):

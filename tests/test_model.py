@@ -19,6 +19,8 @@ from creditpool import (
     homogeneous_measure,
     validate_measure,
 )
+from creditpool.errors import FieldError
+from creditpool.model import whole_number
 
 
 def atom(weight=1.0, lambda_init=0.5, **overrides):
@@ -183,6 +185,20 @@ class TestFactorConfig:
         assert m.atoms[0].firm_type == FirmType(1, 1, 1, 1)
         with pytest.raises(AttributeError):
             m.atoms[0].firm_type.alpha = 2.0
+
+
+@pytest.mark.parametrize("reject, field", [
+    pytest.param(lambda: whole_number(2.5, "n"), "n", id="whole_number"),
+    pytest.param(lambda: DiscreteTypeMeasure(()), "atoms", id="empty-measure"),
+    pytest.param(lambda: creditpool.run_replications(None, 0), "n_reps", id="run_replications"),
+    pytest.param(lambda: creditpool.solve_riccati(FirmType(1, 1, 1, 1), TimeGrid(1.0, 4), "euler"),
+                 "method", id="solve_riccati"),
+])
+def test_out_of_domain_value_is_a_field_error(reject, field):
+    # each was a plain ValueError with the name inside its text
+    with pytest.raises(FieldError) as err:
+        reject()
+    assert err.value.field == field and isinstance(err.value, ValueError)
 
 
 def test_all_lists_every_public_name_the_package_binds():
