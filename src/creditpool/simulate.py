@@ -28,32 +28,37 @@ the calling thread, with no helper, into one block of ``_SIGN_BLOCK``
 steps held as int8 +-1: one generator call per replication and block, and
 memory O(batch cells), not O(N * n_steps).
 
-Memory per cell (one replication x firm): nine float64 rows (four
-per-firm coefficients, intensity, clock and three step rows), a tenth for
-the exposure when the factor is on, a one-byte hit flag and the 16-byte
-sign block, all freed before the results are built.  Recorded moments add
-only their two step-indexed rows per replication, and smaller pools add
-their per-replication state (generators, step-indexed paths).
+Memory per cell (one replication x firm): eight float32 rows (four
+per-firm coefficients, intensity and three step rows), a ninth for the
+exposure when the factor is on, the float64 clock, a one-byte hit flag
+and the 16-byte sign block, all freed before the results are built.
+Recorded moments add only their two step-indexed rows per replication,
+and smaller pools add their per-replication state (generators,
+step-indexed paths).
 README "Memory" gives the measured bytes per cell.  Neither the sign
 dtype nor the block length moves an output bit: the signs are exactly
 +-1.0 in the product.
 
-Reproducibility (``RNG_CONTRACT`` 6): replication r of seed s draws its
+Reproducibility (``RNG_CONTRACT`` 7): replication r of seed s draws its
 firm noise from one SFC64 stream seeded by ``(s, r)``: N
 standard-exponential thresholds first, then ``ceil(N / 64)`` raw 64-bit
 words per step, in step order.  Firm i's increment in a step is -1 if bit
 ``i % 64`` (0 the least significant) of the step's word ``i // 64`` is
 set, else +1.  Per firm the step holds ``alpha dt``, ``albar = (alpha dt)
-* lbar``, ``sigma sqrt(dt)``, ``beta_c / N`` and ``eps * beta_s``.  It
-takes the drift as ``albar - (alpha dt) * lam+``, or with the factor on
-the drift and factor term together as ``((eps beta_s) * dx - alpha dt) *
-lam+ + albar``, then adds the noise ``sqrt(lam+) * (sigma sqrt(dt)) *
-(+-1)``.  The clock starts at the threshold times ``2 / dt`` and runs in
-units of dt/2, ``-= lam+`` then ``-= max(lam, 0)``; a firm defaults when
-its clock is ``<= 0``.  ``d`` simultaneous defaults add ``(beta_c / N) *
-d``.  The shared factor moves as ``x exp(-gamma dt) + sqrt(-expm1(-2 gamma
-dt) / (2 gamma)) Z``; it and the sampled atom assignment have streams of
-their own under the same key.  A replication's output is therefore
+* lbar``, ``sigma sqrt(dt)``, ``beta_c / N`` and ``eps * beta_s``, each
+taken in float64 and rounded once to float32, and the intensity, also
+float32.  It takes the drift as ``albar - (alpha dt) * lam+``, or with the
+factor on the drift and factor term together as ``((eps beta_s) * dx -
+alpha dt) * lam+ + albar``, then adds the noise ``sqrt(lam+) * (sigma
+sqrt(dt)) * (+-1)``, all in float32.  The clock is float64: it starts at
+the threshold times ``2 / dt`` and runs in units of dt/2, ``-= lam+ +
+max(lam, 0)`` with the sum taken in float32; a firm defaults when its clock
+is ``<= 0``.  ``d`` simultaneous defaults add ``(beta_c / N) * d`` in
+float32.  The shared factor moves in float64 as ``x exp(-gamma dt) +
+sqrt(-expm1(-2 gamma dt) / (2 gamma)) Z``, and its step ``dx`` enters the
+product rounded to float32; it and the sampled atom assignment have streams
+of their own under the same key.  Recorded moments are float64 means of
+float32 values.  A replication's output is therefore
 bit-identical however the replications are batched, on any host; a
 firm's noise does depend on N.
 """
@@ -79,7 +84,7 @@ ASSIGNMENTS = ("proportional", "sampled")
 
 #: Version of the map from ``(seed, replication)`` to random draws, written
 #: into manifests.  It changes whenever simulated output bits change.
-RNG_CONTRACT = 6
+RNG_CONTRACT = 7
 
 # Stream tags under (seed, replication, tag): keep these stable, they
 # are part of the reproducibility contract.
@@ -185,7 +190,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     atom_idx = np.stack([_atom_assignment(config, r) for r in replications])
 
     def per_cell(values) -> np.ndarray:
-        return np.array(values, dtype=float)[atom_idx]
+        # taken in float64, rounded once to float32; a value beyond float32's
+        # range becomes inf and is reported as non-finite state, not warned
+        with np.errstate(over="ignore"):
+            return np.array(values, dtype=np.float32)[atom_idx]
 
     gamma = config.factor.gamma
     ou_decay = math.exp(-gamma * dt)
@@ -205,9 +213,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                    for r in replications] if factor_active else []
 
     # One (width, N) array per quantity, replication by firm, for the whole
-    # run.  Each firm's clock is its threshold less its integrated
-    # intensity, in units of dt/2, so the thresholds are scaled by 2/dt
-    # once, here.  A defaulted firm's clock is NaN, which never runs out;
+    # run, float32 but for the clock.  Each firm's clock is its threshold
+    # less its integrated intensity, in units of dt/2, so the thresholds are
+    # scaled by 2/dt once, here; it is the one row that accumulates, so it
+    # stays float64.  A defaulted firm's clock is NaN, which never runs out;
     # the firm is still stepped, with zero coefficients.
     alpha_dt = per_cell([a.firm_type.alpha * dt for a in atoms])
     albar = per_cell([a.firm_type.alpha * dt * a.firm_type.lambda_bar for a in atoms])
@@ -218,7 +227,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     del atom_idx
     clock = np.stack([g.standard_exponential(n) for g in firm_rngs])
     clock *= 2.0 / dt
-    lam_plus, incr, term = np.empty((3, width, n))
+    lam_plus, incr, term = np.empty((3, width, n), dtype=np.float32)
     hit = np.empty((width, n), dtype=bool)
 
     # the factor normals of one block of steps
@@ -231,9 +240,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
 
         def record(k: int) -> None:
             # lam_plus is max(lam, 0), a defaulted firm's held at default;
-            # term is free between steps
-            m1[:, k] = lam_plus.mean(axis=1)
-            m2[:, k] = np.multiply(lam_plus, lam_plus, out=term).mean(axis=1)
+            # term is free between steps.  The square is float32, the means
+            # accumulate in float64.
+            m1[:, k] = lam_plus.mean(axis=1, dtype=np.float64)
+            m2[:, k] = np.multiply(lam_plus, lam_plus, out=term).mean(axis=1, dtype=np.float64)
 
     with np.errstate(over="ignore", invalid="ignore"):
         np.maximum(lam, 0.0, out=lam_plus)
@@ -258,18 +268,19 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             #   lam += ((eps beta_s) dx - alpha dt) lam+ + albar
             #          + sqrt(lam+) (sigma sqrt(dt)) (+-1);
             # then, in units of dt/2,
-            #   clock -= lam+, clock -= max(lam, 0),
-            # each operation taken in the order written (an int8 sign casts
-            # to exactly +-1.0).  The new max(lam, 0) goes into incr, free
-            # once lam has taken it, and swaps in as the next step's lam+
-            # unless a default jump moves lam.
+            #   clock -= lam+ + max(lam, 0),
+            # each operation taken in the order written, in float32 but for
+            # the float64 clock and factor (dx is rounded once to float32;
+            # an int8 sign casts to exactly +-1.0).  The new max(lam, 0)
+            # goes into incr, free once lam has taken it, and swaps in as
+            # the next step's lam+ unless a default jump moves lam.
             for j in range(count):
                 k = start + j
                 if factor_active:
                     x_new = x * ou_decay + ou_scale * factor_normals[:, j]
                     dx = x_new - x
                     x = x_new
-                    np.multiply(exposure, dx[:, None], out=incr)
+                    np.multiply(exposure, dx.astype(np.float32)[:, None], out=incr)
                     incr -= alpha_dt
                     incr *= lam_plus
                     incr += albar
@@ -289,8 +300,8 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                         r, firm = divmod(int(bad[0]), n)
                         raise NonFiniteStateError(replications[r], firm, k + 1)
                 np.maximum(lam, 0.0, out=incr)
-                clock -= lam_plus
-                clock -= incr
+                np.add(lam_plus, incr, out=term)
+                clock -= term
                 lam_plus, incr = incr, lam_plus
 
                 np.less_equal(clock, 0.0, out=hit)
@@ -306,7 +317,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                         if coefficient is not None:
                             coefficient.ravel()[newly] = 0.0
                     # one batched jump: d defaults each contribute beta_c / N
-                    np.multiply(beta_c_n, d.astype(float)[:, None], out=term)
+                    np.multiply(beta_c_n, d.astype(np.float32)[:, None], out=term)
                     lam += term
                     np.maximum(lam, 0.0, out=lam_plus)
 

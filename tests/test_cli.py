@@ -175,7 +175,7 @@ class TestSimulateCommand:
     def test_manifest_records_rng_contract(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), *SIM_ARGS]) == 0
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
-        assert manifest["rng_contract"] == 6
+        assert manifest["rng_contract"] == 7
         assert "threads_hint" not in manifest
 
     def test_moments_written_only_when_recorded(self, tmp_path):
@@ -289,10 +289,11 @@ class TestSimulateCommand:
         assert code == 4
 
     def test_overflowing_moments_exit_code(self, tmp_path, capsys):
-        # every intensity is finite, but the pool mean of 6e307 overflows;
-        # this escaped as a ValueError from model.Trajectory, exit 1
+        # every intensity is finite, but the recorded second moment of 2e38
+        # overflows float32; this escaped as a ValueError from
+        # model.Trajectory, exit 1
         atom = {"alpha": 0, "lambda_bar": 0, "sigma": 0, "beta_c": 0, "beta_s": 0,
-                "lambda_init": 6e307, "weight": 1}
+                "lambda_init": 2e38, "weight": 1}
         code = main(["simulate", "--out", str(tmp_path), "--set", "sim.record_moments=true",
                      "--set", "measure.cap=1e308", "--set", f"measure.atoms=[{json.dumps(atom)}]",
                      "--set", "sim.n_firms=4", "--set", "sim.n_reps=2",
@@ -319,7 +320,7 @@ class TestConvergeCommand:
         assert [p["N"] for p in pools] == [40, 160] and all(p["seconds"] >= 0.0 for p in pools)
         assert manifest["solver_residual"] <= 1e-10
         assert "median_violations" in manifest
-        assert manifest["rng_contract"] == 6
+        assert manifest["rng_contract"] == 7
 
     def test_sampled_assignment_reaches_the_simulation(self, tmp_path):
         # two atoms of equal weight: a sampled assignment gives each firm its

@@ -166,10 +166,10 @@ class TestPathStructure:
         assert "replication 2" in str(err.value)
 
     def test_finite_state_whose_sum_overflows(self):
-        # each intensity is finite, their sum is not: no error, and every
-        # firm defaults on the first step; but their recorded pool mean
-        # overflows from the start
-        m = homogeneous_measure(FirmType(0.0, 0.0, 0.0, 0.0), 6e307)
+        # each float32 intensity is finite, their float32 sum is not: no
+        # error, and every firm defaults on the first step; but their
+        # recorded second moment, a float32 square, overflows from the start
+        m = homogeneous_measure(FirmType(0.0, 0.0, 0.0, 0.0), 2e38)
         result = simulate(make_config(measure=m, n_firms=4, grid=TimeGrid(1.0, 20),
                                       record_moments=False))
         assert np.all(result.l_path.values[1:] == 1.0)
@@ -222,7 +222,7 @@ class TestPathStructure:
 
 
 # README "Memory" states this figure
-BYTES_PER_CELL = 107
+BYTES_PER_CELL = 73
 
 
 def traced_peak(config, n_reps):
@@ -369,6 +369,50 @@ class TestOracles:
         chi2 = float(np.sum((observed - expected) ** 2 / expected))
         assert chi2 < self.CHI2_10_Q999
 
+    def test_clock_is_exact_at_a_fine_grid(self):
+        # alpha = sigma = beta = 0: every intensity holds float32(0.3), so
+        # each step takes exactly c = 2 float32(0.3) from a firm's clock, and
+        # the firm defaults at the first step k with k c >= its threshold
+        # times 2 / dt.  At 1e4 steps the clocks start near 2e4, where a
+        # float32 clock would round each subtraction by up to 1e-3 and move
+        # some firms' default steps.
+        grid = TimeGrid(1.0, 10_000)
+        n = 1000
+        config = make_config(n_firms=n, grid=grid,
+                             measure=homogeneous_measure(FirmType(0.0, 0.0, 0.0, 0.0), 0.3))
+        thresholds = np.random.Generator(np.random.SFC64(simulate_module._seed_sequence(
+            config.seed, 0, simulate_module._STREAM_FIRM))).standard_exponential(n)
+        default_step = np.sort(np.ceil(thresholds * (2.0 / grid.dt) / (2.0 * np.float32(0.3))))
+        expected = np.searchsorted(default_step, np.arange(grid.n_steps + 1), side="right") / n
+        np.testing.assert_array_equal(simulate(config).l_path.values, expected)
+
+    # Fixed before the first run: the bound, about three times the 3.5e-6
+    # that a scalar float32 copy of the step gives on this pool and grid.
+    STALL_BOUND = 1e-5
+
+    def test_float32_stall_is_bounded(self):
+        # sigma = beta_c = beta_s = 0: the intensity is the Euler path
+        # lbar + (lam0 - lbar) (1 - alpha dt)^k, which in float32 stalls
+        # short of lbar once alpha dt (lam - lbar) is under half an ulp of
+        # lam.  F = 1 - exp(-integral of lam) over the simulated path stays
+        # within the bound of the float64 path's.  The rates are scaled by
+        # 2^-20, which scales every float32 and float64 operation of the
+        # step exactly: the one firm almost surely never defaults, and m1
+        # is exactly 2^-20 times the unscaled path.
+        alpha, lbar, lam0, scale = 4.0, 0.5, 2.0, 2.0**-20
+        grid = TimeGrid(5.0, 20_000)
+        m = homogeneous_measure(FirmType(alpha, lbar * scale, 0.0, 0.0), lam0 * scale)
+        result = simulate(make_config(n_firms=1, measure=m, grid=grid, record_moments=True))
+        assert result.l_path.values[-1] == 0.0
+        dt = grid.dt
+
+        def f(lam):
+            return 1.0 - np.exp(-0.5 * dt * np.cumsum(lam[1:] + lam[:-1]))
+
+        f32 = f(result.m1.values / scale)
+        f64 = f(lbar + (lam0 - lbar) * (1.0 - alpha * dt) ** np.arange(grid.n_steps + 1))
+        assert np.max(np.abs(f32 - f64)) < self.STALL_BOUND
+
 
 class TestMoments:
     def test_not_recorded(self):
@@ -473,17 +517,21 @@ def reference_batch(config, replications):
     Returns ``(l_path, m1, m2)`` as ``(replications, ...)``
     arrays.  The oracle for the block-drawing kernel, which steps defaulted
     firms too but reads nothing of theirs, and the written form of RNG
-    contract 6: one SFC64 stream per replication for the firms (N
+    contract 7: one SFC64 stream per replication for the firms (N
     thresholds, then ceil(N / 64) raw words per step, firm i's increment
     -1 where bit ``i % 64`` of word ``i // 64`` is set and +1 where it is
-    clear); the drift ``albar - (alpha dt) * lam+`` with
+    clear); the per-firm coefficients taken in float64 and rounded once to
+    float32, and every step operation in float32 but the factor's and the
+    clock's; the drift ``albar - (alpha dt) * lam+`` with
     ``albar = (alpha dt) * lbar``, or with the factor on drift and factor
     term as ``((eps beta_s) * dx - alpha dt) * lam+ + albar``; the noise
     ``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)`` added to that, where ``dx``
-    is the factor's step ``x exp(-gamma dt) + sqrt(-expm1(-2 gamma dt) /
-    (2 gamma)) Z - x``; each firm's clock, its threshold times ``2 / dt``
-    less its integrated intensity in units of dt/2, ``- lam+ - max(lam,
-    0)``, a default where it is ``<= 0``; and the jump ``(beta_c / N) * d``.
+    is the float64 factor's step ``x exp(-gamma dt) + sqrt(-expm1(-2 gamma
+    dt) / (2 gamma)) Z - x`` rounded to float32; each firm's float64
+    clock, its threshold times ``2 / dt`` less its integrated intensity in
+    units of dt/2, ``- (lam+ + max(lam, 0))`` with the sum in float32, a
+    default where it is ``<= 0``; the jump ``(beta_c / N) * d``; and the
+    moments' means accumulated in float64.
     """
     n, grid = config.n_firms, config.grid
     dt, sqdt = grid.dt, math.sqrt(grid.dt)
@@ -493,14 +541,19 @@ def reference_batch(config, replications):
     def per_firm(values):
         return np.array(values)[idx]
 
+    def f32(values):
+        return values.astype(np.float32)
+
     def stream(r, tag):
         return simulate_module._seed_sequence(config.seed, r, tag)
 
     alpha_dt = per_firm([a.firm_type.alpha * dt for a in atoms])
-    albar = alpha_dt * per_firm([a.firm_type.lambda_bar for a in atoms])
-    sigma_sqdt = per_firm([a.firm_type.sigma * sqdt for a in atoms])
-    beta_c_n = per_firm([a.firm_type.beta_c for a in atoms]) / n
-    lam = per_firm([a.lambda_init for a in atoms])
+    with np.errstate(over="ignore"):  # float32's range is part of the contract
+        albar = f32(alpha_dt * per_firm([a.firm_type.lambda_bar for a in atoms]))
+        alpha_dt = f32(alpha_dt)
+        sigma_sqdt = f32(per_firm([a.firm_type.sigma * sqdt for a in atoms]))
+        beta_c_n = f32(per_firm([a.firm_type.beta_c for a in atoms]) / n)
+        lam = f32(per_firm([a.lambda_init for a in atoms]))
     firm_rngs = [np.random.Generator(np.random.SFC64(stream(r, simulate_module._STREAM_FIRM)))
                  for r in replications]
     clock = np.stack([g.standard_exponential(n) for g in firm_rngs]) * (2.0 / dt)
@@ -512,7 +565,7 @@ def reference_batch(config, replications):
     ou_scale = math.sqrt(-math.expm1(-2.0 * gamma * dt) / (2.0 * gamma))
     eps = config.factor.eps(n)
     factor_active = eps != 0.0 and any(a.firm_type.beta_s != 0.0 for a in atoms)
-    exposure = eps * per_firm([a.firm_type.beta_s for a in atoms])
+    exposure = f32(eps * per_firm([a.firm_type.beta_s for a in atoms]))
     factor_rngs = [np.random.default_rng(stream(r, simulate_module._STREAM_FACTOR))
                    for r in replications]
     x = np.full(len(replications), config.factor.x_init)
@@ -521,18 +574,23 @@ def reference_batch(config, replications):
     defaults = np.zeros(len(replications), dtype=np.int64)
     l_path = np.zeros((len(replications), grid.n_steps + 1))
     m1, m2 = np.empty_like(l_path), np.empty_like(l_path)
-    pos = np.maximum(lam, 0.0)
-    m1[:, 0], m2[:, 0] = pos.mean(axis=1), np.mean(pos * pos, axis=1)
+
+    def moments(lam):
+        pos = np.maximum(lam, 0.0)
+        return pos.mean(axis=1, dtype=np.float64), np.mean(pos * pos, axis=1, dtype=np.float64)
+
+    m1[:, 0], m2[:, 0] = moments(lam)
 
     # the non-finite case overflows on purpose; it is reported, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.n_steps):
             words = np.stack([g.bit_generator.random_raw(-(-n // 64)) for g in firm_rngs])
-            z = np.where((words[:, word_of] >> bit_of) & np.uint64(1), -1.0, 1.0)
+            z = np.where((words[:, word_of] >> bit_of) & np.uint64(1),
+                         np.float32(-1.0), np.float32(1.0))
             if factor_active:
                 factor_z = np.array([g.standard_normal() for g in factor_rngs])
                 x_new = x * ou_decay + ou_scale * factor_z
-                dx = (x_new - x)[:, None]
+                dx = f32(x_new - x)[:, None]
                 x = x_new
             lam_plus = np.maximum(lam, 0.0)
             if factor_active:
@@ -546,31 +604,30 @@ def reference_batch(config, replications):
                 rep, firm = np.unravel_index(np.argmin(finite), finite.shape)
                 raise NonFiniteStateError(replications[rep], int(firm), k + 1)
             # in units of dt/2
-            clock = np.where(alive, clock - lam_plus - np.maximum(lam_new, 0.0), clock)
+            clock = np.where(alive, clock - (lam_plus + np.maximum(lam_new, 0.0)), clock)
             lam = lam_new
             newly = alive & (clock <= 0.0)
             if newly.any():
                 d = np.count_nonzero(newly, axis=1)
                 alive &= ~newly
                 defaults += d
-                lam = np.where(alive, lam + beta_c_n * d[:, None].astype(float), lam)
+                lam = np.where(alive, lam + beta_c_n * f32(d[:, None]), lam)
             l_path[:, k + 1] = defaults / n
-            pos = np.maximum(lam, 0.0)
-            m1[:, k + 1], m2[:, k + 1] = pos.mean(axis=1), np.mean(pos * pos, axis=1)
+            m1[:, k + 1], m2[:, k + 1] = moments(lam)
     return l_path, m1, m2
 
 
 # Atom A: constant intensity 0.05, no contagion; its firms default one at a
-# time, at random steps.  Atom B: zero intensity and sigma = 1e308, until A's
+# time, at random steps.  Atom B: zero intensity and sigma = 4e38, until A's
 # first default jumps it by 16.  With dt = 0.25, B's noise coefficient
-# sigma sqrt(dt) = 5e307 is finite, so B stays at 0 before the jump; after
-# it, sqrt(16) * 5e307 overflows, so on the next step every B firm's
-# intensity becomes infinite, whatever the sign of its increment.  So each
-# replication turns non-finite one step after its first default.
+# sigma sqrt(dt) = 2e38 is finite in float32, so B stays at 0 before the
+# jump; after it, sqrt(16) * 2e38 overflows, so on the next step every B
+# firm's intensity becomes infinite, whatever the sign of its increment.
+# So each replication turns non-finite one step after its first default.
 N_NONFINITE = 12
 NONFINITE_A = TypeAtom(FirmType(0.0, 0.0, 0.0, 0.0), 0.05, 0.5)
 NONFINITE_MEASURE = DiscreteTypeMeasure(
-    (NONFINITE_A, TypeAtom(FirmType(0.0, 0.0, 1e308, 16.0 * N_NONFINITE), 0.0, 0.5))
+    (NONFINITE_A, TypeAtom(FirmType(0.0, 0.0, 4e38, 16.0 * N_NONFINITE), 0.0, 0.5))
 )
 
 
@@ -642,20 +699,20 @@ class TestReferenceKernel:
 
 
 # sha256 of the L paths, replication by replication, of
-# GOLDEN_CONFIG's three replications under RNG_CONTRACT 6, which kept
-# contract 4's digest: the rounding of contracts 5 and 6 moved none of these
-# L-path bits.  If a change moves a simulated bit on purpose, bump
+# the config below's three replications under RNG_CONTRACT 7, which kept
+# contract 4's digest: the rounding of contracts 5, 6 and 7 moved none of
+# these L-path bits.  If a change moves a simulated bit on purpose, bump
 # RNG_CONTRACT and this digest.
 GOLDEN_SHA256 = "d2bacce25cf92508b0c32be39911e88905e1fd9291d21141bd26c69cf9a6a91b"
 
 
-def test_rng_contract_6_bits_pinned():
+def test_rng_contract_7_bits_pinned():
     config = make_config(n_firms=50, measure=TWO_ATOMS, grid=TimeGrid(1.0, 100), seed=2024)
     assert config.factor.eps(50) != 0.0  # the factor term runs
     digest = hashlib.sha256()
     for result in run_replications(config, 3).results:
         digest.update(result.l_path.values.tobytes())
-    assert simulate_module.RNG_CONTRACT == 6
+    assert simulate_module.RNG_CONTRACT == 7
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
