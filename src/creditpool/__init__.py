@@ -44,7 +44,7 @@ from .model import (
     homogeneous_measure,
     validate_measure,
 )
-from .riccati import RiccatiSolution, saturation_level, solve_riccati
+from .riccati import RiccatiSolution, solve_riccati
 from .simulate import (
     ReplicationSet,
     SimConfig,
@@ -61,7 +61,7 @@ __all__ = [
     "SystematicFactorConfig", "TimeGrid", "Trajectory",
     "validate_measure", "homogeneous_measure",
     # riccati / limit
-    "RiccatiSolution", "solve_riccati", "saturation_level", "riccati_for_measure",
+    "RiccatiSolution", "solve_riccati", "riccati_for_measure",
     "LimitSolution", "solve_q", "compute_f", "f_derivative",
     "solve_homogeneous_f", "solve_limit",
     # simulation

@@ -113,9 +113,11 @@ def conv_simpson(h: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:
     short-prefix edge, so the difference between the two isolates the
     trapezoid discretization error.  h may hold several kernels as rows.
 
-    Equals ``dt * sum_j simpson_prefix_weights(k)[j] h[k-j] g[j]`` per k:
-    one convolution with the parity weights folded into g, then the first,
-    last and (odd k) 3/8-tail weights corrected term by term.
+    Equals ``dt * sum_j w_k[j] h[k-j] g[j]`` per k, with w_k the composite
+    Simpson weights (a 3/8 tail for odd k >= 3, the trapezoid at k = 1;
+    ``simpson_prefix_weights`` in ``tests/test_quadrature.py`` writes them
+    out): one convolution with the parity weights folded into g, then the
+    first, last and (odd k) 3/8-tail weights corrected term by term.
     """
     h = np.asarray(h, dtype=float)
     n = h.shape[-1]
@@ -135,25 +137,3 @@ def conv_simpson(h: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:
         out[..., 1] += h[..., 1] * g[0] / 6.0 - h[..., 0] * g[1] * (5.0 / 6.0)
     out[..., 0] = 0.0
     return dt * out
-
-
-def simpson_prefix_weights(k: int) -> np.ndarray:
-    """Quadrature weights w[0..k] with sum(w_j f_j)*dt ~ integral over k steps.
-
-    Composite Simpson for even k; Simpson plus a 3/8 tail for odd k >= 3;
-    plain trapezoid for k = 1.
-    """
-    if k < 1:
-        return np.zeros(max(k + 1, 1))
-    if k == 1:
-        return np.array([0.5, 0.5])
-    w = np.zeros(k + 1)
-    m = k if k % 2 == 0 else k - 3
-    if m > 0:
-        w[0] = 1.0 / 3.0
-        w[1:m:2] = 4.0 / 3.0
-        w[2:m:2] = 2.0 / 3.0
-        w[m] = 1.0 / 3.0
-    if m != k:  # odd k: 3/8 rule on the last three intervals
-        w[m : k + 1] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
-    return w

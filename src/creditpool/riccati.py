@@ -38,20 +38,6 @@ class RiccatiSolution:
         return self.b.grid
 
 
-def saturation_level(firm_type: FirmType) -> float:
-    """Least upper bound of b: the positive root of 1 - s^2 b^2/2 - a b = 0.
-
-    Infinite when both coefficients vanish (then b(t) = t grows without
-    bound).
-    """
-    a, s = firm_type.alpha, firm_type.sigma
-    if s > 0.0:
-        return (-a + math.sqrt(a * a + 2.0 * s * s)) / (s * s)
-    if a > 0.0:
-        return 1.0 / a
-    return math.inf
-
-
 def _closed_form(alpha: float, sigma: float, t: np.ndarray) -> np.ndarray:
     # expm1 keeps 1 - exp(-delta t) accurate when delta*t is tiny; the
     # delta == 0 branch also covers sigma so small that sigma^2 underflows.

@@ -22,50 +22,52 @@ step is one pass of numpy operations over it.
 :func:`run_replications` cuts its replications into batches of
 ``max(1, _CELL_BUDGET // N)``, and :func:`simulate` is a batch of one.
 A defaulted firm's clock becomes NaN, which never runs out again, and its
-step coefficients become zero; the firm keeps its cell to the end of the
-run, its intensity held at its value at default.  The signs are drawn on
+column of the one coefficient table becomes zero, in one scatter; the firm
+keeps its cell to the end of the run, its intensity held at its value at
+default.  The signs are drawn on
 the calling thread, with no helper, into one block of ``_SIGN_BLOCK``
 steps held as int8 +-1: one generator call per replication and block, and
 memory O(batch cells), not O(N * n_steps).
 
-Memory per cell (one replication x firm): eight float32 rows (four
-per-firm coefficients, intensity and three step rows), a ninth for the
-exposure when the factor is on, the float64 clock, a one-byte hit flag
-and the 16-byte sign block, all freed before the results are built.
-Recorded moments add only their two step-indexed rows per replication,
-and smaller pools add their per-replication state (generators,
-step-indexed paths).
-README "Memory" gives the measured bytes per cell.  Neither the sign
-dtype nor the block length moves an output bit: the signs are exactly
-+-1.0 in the product.
+Memory per cell (one replication x firm): eight float32 rows (four rows of
+the coefficient table, intensity and three step rows), a ninth for the
+table's exposure row when the factor is on, the float64 clock, a one-byte
+hit flag and the 16-byte sign block, all freed before the results are
+built.  Recorded moments add only their two step-indexed rows per
+replication, and smaller pools add their per-replication state
+(generators, step-indexed paths).  README "Memory" gives the measured
+bytes per cell.  Neither the sign dtype nor the block length moves an
+output bit: the signs are exactly +-1.0 in the product.
 
 Reproducibility (``RNG_CONTRACT`` 7): replication r of seed s draws its
 firm noise from one SFC64 stream seeded by ``(s, r)``: N
 standard-exponential thresholds first, then ``ceil(N / 64)`` raw 64-bit
 words per step, in step order.  Firm i's increment in a step is -1 if bit
 ``i % 64`` (0 the least significant) of the step's word ``i // 64`` is
-set, else +1.  Per firm the step holds ``alpha dt``, ``albar = (alpha dt)
-* lbar``, ``sigma sqrt(dt)``, ``beta_c / N`` and ``eps * beta_s``, each
-taken in float64 and rounded once to float32, and the intensity, also
-float32.  It takes the drift as ``albar - (alpha dt) * lam+``, or with the
-factor on the drift and factor term together as ``((eps beta_s) * dx -
-alpha dt) * lam+ + albar``, then adds the noise ``sqrt(lam+) * (sigma
-sqrt(dt)) * (+-1)``, all in float32.  The clock is float64: it starts at
-the threshold times ``2 / dt`` and runs in units of dt/2, ``-= lam+ +
-max(lam, 0)`` with the sum taken in float32; a firm defaults when its clock
-is ``<= 0``.  ``d`` simultaneous defaults add ``(beta_c / N) * d`` in
-float32.  The shared factor moves in float64 as ``x exp(-gamma dt) +
-sqrt(-expm1(-2 gamma dt) / (2 gamma)) Z``, and its step ``dx`` enters the
-product rounded to float32; it and the sampled atom assignment have streams
-of their own under the same key.  Recorded moments are float64 means of
-float32 values.  A replication's output is therefore
-bit-identical however the replications are batched, on any host; a
-firm's noise does depend on N.
+set, else +1.  Per firm the step holds the coefficients ``-(alpha dt)``,
+``albar = (alpha dt) * lbar``, ``sigma sqrt(dt)``, ``beta_c / N`` and,
+with the factor on, ``eps * beta_s``, each taken in float64 and rounded
+once to float32, and the intensity, also float32.  It takes the drift as
+``slope * lam+ + albar``, where ``slope`` is ``-(alpha dt)``, or with the
+factor on ``(eps beta_s) * dx + (-(alpha dt))``, then adds the noise
+``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)``, all in float32.  The clock is
+float64: it starts at the threshold times ``2 / dt`` and runs in units of
+dt/2, ``-= lam+ + max(lam, 0)`` with the sum taken in float32; a firm
+defaults when its clock is ``<= 0``.  ``d`` simultaneous defaults add
+``(beta_c / N) * d`` in float32.  The shared factor moves in float64 as
+``x exp(-gamma dt) + sqrt(-expm1(-2 gamma dt) / (2 gamma)) Z``, the scale
+read as ``sqrt(dt)`` where 2 gamma dt is below the smallest normal double,
+and its step ``dx`` enters the product rounded to float32; it and the
+sampled atom assignment have streams of their own under the same key.
+Recorded moments are float64 means of float32 values.  A replication's
+output is therefore bit-identical however the replications are batched, on
+any host; a firm's noise does depend on N.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +163,20 @@ def _seed_sequence(seed: int, replication: int, tag: int) -> np.random.SeedSeque
     return np.random.SeedSequence(seed, spawn_key=(replication, tag))
 
 
+def _factor_step(gamma: float, dt: float) -> tuple[float, float]:
+    """The shared factor's exact Gaussian step over dt, as ``(decay, scale)``:
+    x moves to ``x * decay + scale * Z``.
+
+    The scale is ``sqrt(-expm1(-2 gamma dt) / (2 gamma))``, or ``sqrt(dt)``,
+    its limit, where 2 gamma dt is below the smallest normal double: there
+    ``expm1`` has lost bits, and at 0 the factor would stop.
+    """
+    two_gamma_dt = 2.0 * gamma * dt
+    scale = (math.sqrt(dt) if two_gamma_dt < sys.float_info.min
+             else math.sqrt(-math.expm1(-two_gamma_dt) / (2.0 * gamma)))
+    return math.exp(-gamma * dt), scale
+
+
 def _atom_assignment(config: SimConfig, replication: int) -> np.ndarray:
     weights = np.array([a.weight for a in config.measure.atoms])
     if config.assignment == "proportional":
@@ -189,16 +205,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     atoms = config.measure.atoms
     atom_idx = np.stack([_atom_assignment(config, r) for r in replications])
 
-    def per_cell(values) -> np.ndarray:
-        # taken in float64, rounded once to float32; a value beyond float32's
-        # range becomes inf and is reported as non-finite state, not warned
-        with np.errstate(over="ignore"):
-            return np.array(values, dtype=np.float32)[atom_idx]
-
-    gamma = config.factor.gamma
-    ou_decay = math.exp(-gamma * dt)
-    # expm1: 1 - exp(-2 gamma dt) cancels to 0 for tiny gamma dt
-    ou_scale = math.sqrt(-math.expm1(-2.0 * gamma * dt) / (2.0 * gamma))
+    ou_decay, ou_scale = _factor_step(config.factor.gamma, dt)
     eps = config.factor.eps(n)
     # With zero exposure the factor term is skipped entirely, so the factor
     # stream provably cannot influence firm states.  Deciding from the
@@ -213,18 +220,26 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                    for r in replications] if factor_active else []
 
     # One (width, N) array per quantity, replication by firm, for the whole
-    # run, float32 but for the clock.  Each firm's clock is its threshold
-    # less its integrated intensity, in units of dt/2, so the thresholds are
-    # scaled by 2/dt once, here; it is the one row that accumulates, so it
-    # stays float64.  A defaulted firm's clock is NaN, which never runs out;
-    # the firm is still stepped, with zero coefficients.
-    alpha_dt = per_cell([a.firm_type.alpha * dt for a in atoms])
-    albar = per_cell([a.firm_type.alpha * dt * a.firm_type.lambda_bar for a in atoms])
-    sigma_sqdt = per_cell([a.firm_type.sigma * sqdt for a in atoms])
-    beta_c_n = per_cell([a.firm_type.beta_c / n for a in atoms])
-    exposure = per_cell([eps * a.firm_type.beta_s for a in atoms]) if factor_active else None
-    lam = per_cell([a.lambda_init for a in atoms])
+    # run, float32 but for the clock.  The per-firm coefficients are the
+    # (width, N) rows of one C-contiguous table, each taken in float64 and
+    # rounded once; a value beyond float32's range becomes inf and is
+    # reported as non-finite state, not warned.  Each firm's clock is its
+    # threshold less its integrated intensity, in units of dt/2, so the
+    # thresholds are scaled by 2/dt once, here; it is the one row that
+    # accumulates, so it stays float64.  A defaulted firm's clock is NaN,
+    # which never runs out; the firm is still stepped, with zero coefficients.
+    types = [a.firm_type for a in atoms]
+    rows = [[-(t.alpha * dt) for t in types], [t.alpha * dt * t.lambda_bar for t in types],
+            [t.sigma * sqdt for t in types], [t.beta_c / n for t in types]]
+    if factor_active:
+        rows.append([eps * t.beta_s for t in types])
+    with np.errstate(over="ignore"):
+        # take, not [:, atom_idx]: that keeps the bits but strides every row
+        coefficients = np.array(rows, dtype=np.float32).take(atom_idx, axis=1)
+        lam = np.array([a.lambda_init for a in atoms], dtype=np.float32).take(atom_idx)
     del atom_idx
+    neg_alpha_dt, albar, sigma_sqdt, beta_c_n = coefficients[:4]
+    exposure = coefficients[4] if factor_active else None
     clock = np.stack([g.standard_exponential(n) for g in firm_rngs])
     clock *= 2.0 / dt
     lam_plus, incr, term = np.empty((3, width, n), dtype=np.float32)
@@ -263,11 +278,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 g.standard_normal(count, out=out[:count])
 
             # One step, in place:  with lam+ = max(lam, 0),
-            #   lam += albar - (alpha dt) lam+ + sqrt(lam+) (sigma sqrt(dt)) (+-1),
-            # where albar = alpha dt lbar, or, with the factor on,
-            #   lam += ((eps beta_s) dx - alpha dt) lam+ + albar
-            #          + sqrt(lam+) (sigma sqrt(dt)) (+-1);
-            # then, in units of dt/2,
+            #   lam += slope lam+ + albar + sqrt(lam+) (sigma sqrt(dt)) (+-1),
+            # where albar = alpha dt lbar and slope is -(alpha dt), or, with
+            # the factor on, (eps beta_s) dx + (-(alpha dt)); then, in units
+            # of dt/2,
             #   clock -= lam+ + max(lam, 0),
             # each operation taken in the order written, in float32 but for
             # the float64 clock and factor (dx is rounded once to float32;
@@ -276,17 +290,15 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             # the next step's lam+ unless a default jump moves lam.
             for j in range(count):
                 k = start + j
+                slope = neg_alpha_dt
                 if factor_active:
                     x_new = x * ou_decay + ou_scale * factor_normals[:, j]
                     dx = x_new - x
                     x = x_new
-                    np.multiply(exposure, dx.astype(np.float32)[:, None], out=incr)
-                    incr -= alpha_dt
-                    incr *= lam_plus
-                    incr += albar
-                else:
-                    np.multiply(alpha_dt, lam_plus, out=incr)
-                    np.subtract(albar, incr, out=incr)
+                    slope = np.multiply(exposure, dx.astype(np.float32)[:, None], out=incr)
+                    slope += neg_alpha_dt
+                np.multiply(slope, lam_plus, out=incr)
+                incr += albar
                 np.sqrt(lam_plus, out=term)
                 term *= sigma_sqdt
                 term *= signs[:, j]
@@ -313,9 +325,7 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                     clock.ravel()[newly] = np.nan
                     # a defaulted firm's coefficients go to zero, so from
                     # here on its intensity holds its value at default
-                    for coefficient in (alpha_dt, albar, sigma_sqdt, beta_c_n, exposure):
-                        if coefficient is not None:
-                            coefficient.ravel()[newly] = 0.0
+                    coefficients.reshape(len(coefficients), -1)[:, newly] = 0.0
                     # one batched jump: d defaults each contribute beta_c / N
                     np.multiply(beta_c_n, d.astype(np.float32)[:, None], out=term)
                     lam += term
@@ -324,8 +334,10 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
                 if config.record_moments:
                     record(k + 1)
             del signs  # before the next block is unpacked
-    # the per-cell state, before the results copy the step-indexed rows
-    del alpha_dt, albar, sigma_sqdt, beta_c_n, exposure, lam, clock, lam_plus, incr, term, hit
+    # the per-cell state, before the results copy the step-indexed rows; a
+    # name left holding a view of the table would keep the whole table alive
+    del coefficients, neg_alpha_dt, albar, sigma_sqdt, beta_c_n, exposure, slope
+    del lam, clock, lam_plus, incr, term, hit
 
     if config.record_moments:
         bad = ~(np.isfinite(m1) & np.isfinite(m2)).T  # (step, replication)

@@ -349,3 +349,28 @@ class TestBatchedKernel:
             solve_pool(base_measure, grid_coarse, max_iter=0)
         with pytest.raises(ValueError):
             solve_homogeneous_f(BASE, BASE_LAMBDA_INIT, grid_coarse, max_iter=0)
+
+
+class TestTimeScaling:
+    """Every rate and the initial intensity times c, and ``t_end`` over c, is
+    the same pool in faster time, so F on the same step indices must agree;
+    a dt missing or doubled in the solver's bookkeeping breaks that."""
+
+    TWO_ATOMS = DiscreteTypeMeasure((
+        TypeAtom(FirmType(4.0, 0.5, 0.9, 2.0), 0.5, 0.5),
+        TypeAtom(FirmType(2.0, 0.3, 0.6, 1.0), 0.3, 0.5),
+    ))
+
+    @pytest.mark.parametrize("measure", [homogeneous_measure(BASE, BASE_LAMBDA_INIT), TWO_ATOMS],
+                             ids=["one-atom", "two-atoms"])
+    def test_f_agrees_at_c4(self, measure):
+        c, n, tol = 4.0, 2000, limit_module.DEFAULT_TOL
+        fast = DiscreteTypeMeasure(tuple(
+            TypeAtom(FirmType(c * a.firm_type.alpha, c * a.firm_type.lambda_bar,
+                              c * a.firm_type.sigma, c * a.firm_type.beta_c),
+                     c * a.lambda_init, a.weight)
+            for a in measure.atoms))
+        base = solve_limit(measure, TimeGrid(1.0, n), tol=tol).f.values
+        scaled = solve_limit(fast, TimeGrid(1.0 / c, n), tol=tol).f.values
+        assert base[-1] > 0.1
+        assert np.max(np.abs(scaled - base)) <= 10 * tol

@@ -13,8 +13,29 @@ from creditpool.quadrature import (
     conv_trapezoid,
     fft_length,
     prefix_trapezoid,
-    simpson_prefix_weights,
 )
+
+
+def simpson_prefix_weights(k: int) -> np.ndarray:
+    """Quadrature weights w[0..k] with sum(w_j f_j)*dt ~ integral over k steps.
+
+    Composite Simpson for even k; Simpson plus a 3/8 tail for odd k >= 3;
+    plain trapezoid for k = 1.
+    """
+    if k < 1:
+        return np.zeros(max(k + 1, 1))
+    if k == 1:
+        return np.array([0.5, 0.5])
+    w = np.zeros(k + 1)
+    m = k if k % 2 == 0 else k - 3
+    if m > 0:
+        w[0] = 1.0 / 3.0
+        w[1:m:2] = 4.0 / 3.0
+        w[2:m:2] = 2.0 / 3.0
+        w[m] = 1.0 / 3.0
+    if m != k:  # odd k: 3/8 rule on the last three intervals
+        w[m : k + 1] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
+    return w
 
 
 def direct_simpson(h, g, dt):

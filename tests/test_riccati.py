@@ -9,9 +9,22 @@ from creditpool import (
     FirmType,
     NonFiniteResultError,
     TimeGrid,
-    saturation_level,
     solve_riccati,
 )
+
+
+def saturation_level(firm_type: FirmType) -> float:
+    """Least upper bound of b: the positive root of 1 - s^2 b^2/2 - a b = 0.
+
+    Infinite when both coefficients vanish (then b(t) = t grows without
+    bound).
+    """
+    a, s = firm_type.alpha, firm_type.sigma
+    if s > 0.0:
+        return (-a + math.sqrt(a * a + 2.0 * s * s)) / (s * s)
+    if a > 0.0:
+        return 1.0 / a
+    return math.inf
 
 
 def ft(alpha, sigma):

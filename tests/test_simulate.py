@@ -321,6 +321,27 @@ class TestOracles:
             for kind in ("fixed", "zero"))
         assert not np.array_equal(on.l_path.values, off.l_path.values)
 
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-318, 1e-322, 5e-324])
+    def test_factor_step_scale_tends_to_sqrt_dt(self, gamma):
+        # where 2 gamma dt is subnormal, expm1 returns it with few bits, and
+        # at 1e-322 and below it is 0; the scale's limit is sqrt(dt)
+        dt = 1e-3
+        decay, scale = simulate_module._factor_step(gamma, dt)
+        assert decay == 1.0
+        assert abs(scale / math.sqrt(dt) - 1.0) < 1e-12
+
+    def test_factor_moves_at_subnormal_gamma_dt(self):
+        # 2 gamma dt = 2e-325 underflows to 0: taken literally the scale is
+        # 0, and the exposed pool runs exactly as its unexposed twin
+        factor = SystematicFactorConfig(gamma=1e-322, eps=EpsSchedule("fixed", 1.0))
+        on, off = (run_replications(make_config(
+            n_firms=1000, measure=homogeneous_measure(dataclasses.replace(BASE, beta_s=beta_s),
+                                                      0.5),
+            grid=TimeGrid(1.0, 1000), factor=factor, seed=5), 2)
+            for beta_s in (1.0, 0.0))
+        assert any(not np.array_equal(a.l_path.values, b.l_path.values)
+                   for a, b in zip(on.results, off.results))
+
     # Fixed before the first run: the seed, and the 0.999 quantile of
     # chi-square with 10 degrees of freedom (10 step bins and survival).
     BINOMIAL_SEED = 20260810
@@ -412,6 +433,43 @@ class TestOracles:
         f32 = f(result.m1.values / scale)
         f64 = f(lbar + (lam0 - lbar) * (1.0 - alpha * dt) ** np.arange(grid.n_steps + 1))
         assert np.max(np.abs(f32 - f64)) < self.STALL_BOUND
+
+
+def sped_up(config, c):
+    """The same pool in time sped up by c: every rate and initial intensity
+    times c and ``t_end`` over c; the factor's gamma times c, its exposure
+    ``beta_s`` times sqrt(c) and ``x_init`` over sqrt(c), since X(c s) is
+    sqrt(c) times the OU process of rate c gamma."""
+    root = math.sqrt(c)
+    atoms = tuple(
+        TypeAtom(FirmType(c * a.firm_type.alpha, c * a.firm_type.lambda_bar,
+                          c * a.firm_type.sigma, c * a.firm_type.beta_c,
+                          beta_s=root * a.firm_type.beta_s), c * a.lambda_init, a.weight)
+        for a in config.measure.atoms)
+    factor = config.factor
+    return dataclasses.replace(
+        config, measure=DiscreteTypeMeasure(atoms),
+        grid=TimeGrid(config.grid.t_end / c, config.grid.n_steps),
+        factor=dataclasses.replace(factor, gamma=c * factor.gamma, x_init=factor.x_init / root))
+
+
+class TestTimeScaling:
+    """lambda'(s) = c lambda(c s) is the same pool in faster time.  At c = 4
+    every product and square root of the step scales by a power of two, so
+    the default steps, and so the L paths, must not move a bit; a dt or
+    sqrt(dt) missing or doubled in any coefficient breaks that."""
+
+    @pytest.mark.parametrize("assignment", ["proportional", "sampled"])
+    @pytest.mark.parametrize("eps", [EpsSchedule("zero"), EpsSchedule("inverse_sqrt"),
+                                     EpsSchedule("fixed", 1.0)], ids=["off", "sqrt", "fixed"])
+    def test_l_paths_are_bit_identical_at_c4(self, eps, assignment):
+        config = make_config(n_firms=2000, measure=TWO_ATOMS, grid=TimeGrid(1.0, 500), seed=3,
+                             factor=SystematicFactorConfig(gamma=1.0, x_init=0.3, eps=eps),
+                             assignment=assignment)
+        base, fast = (run_replications(c, 4).results for c in (config, sped_up(config, 4)))
+        assert sum(r.l_path.values[-1] for r in base) > 0.0
+        for a, b in zip(base, fast):
+            np.testing.assert_array_equal(a.l_path.values, b.l_path.values)
 
 
 class TestMoments:
