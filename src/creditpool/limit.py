@@ -106,25 +106,32 @@ class _AtomKernels:
                 distinct.append(ric)
             row_of_atom.append(rows[id(ric)])
         self.dt = grid.dt
+        self.distinct = distinct
         self.weight = np.array([a.weight for a in atoms])
         # the Picard map's weights: q = contagion @ (D exp(-E))
         self.contagion = self.weight * np.array([a.firm_type.beta_c for a in atoms])
         self.lam0 = np.array([a.lambda_init for a in atoms])[:, None]
         self.force = np.array([a.firm_type.alpha * a.firm_type.lambda_bar for a in atoms])[:, None]
-        # Rows 0..T-1 hold each distinct b, rows T..2T-1 its b_dot; row 0 of
-        # the (2, A) ``index`` picks each atom's b row, row 1 its b_dot row.
-        self.kernels = np.stack([r.b.values for r in distinct]
-                                + [r.b_dot.values for r in distinct])
         row = np.array(row_of_atom)
         self.index = np.stack([row, row + len(distinct)])
-        self.trapezoid = TrapezoidKernel(self.kernels, self.dt)
-        # the q-free part of E and D under the trapezoid rule
-        self.constant = self._q_free(prefix_trapezoid(self.kernels, self.dt))
+        kernels = self.kernels
+        # the q-free part of E and D under the trapezoid rule; built before
+        # the spectra, so that its temporaries and the spectra never coexist
+        self.constant = self._q_free(kernels, prefix_trapezoid(kernels, self.dt))
+        self.trapezoid = TrapezoidKernel(kernels, self.dt)
 
-    def _q_free(self, conv_one: np.ndarray) -> np.ndarray:
+    @property
+    def kernels(self) -> np.ndarray:
+        """Rows 0..T-1 hold each distinct b, rows T..2T-1 its b_dot; row 0 of
+        the (2, A) ``index`` picks each atom's b row, row 1 its b_dot row.
+        Stacked on demand: the Riccati solutions already hold the rows."""
+        return np.stack([r.b.values for r in self.distinct]
+                        + [r.b_dot.values for r in self.distinct])
+
+    def _q_free(self, kernels: np.ndarray, conv_one: np.ndarray) -> np.ndarray:
         """lam0_a h + c_a conv(h, 1) for E and D, from each kernel's conv(h, 1)."""
         i = self.index
-        return self.lam0 * self.kernels[i] + self.force * conv_one[i]
+        return self.lam0 * kernels[i] + self.force * conv_one[i]
 
     def exponents_and_slopes(self, q: np.ndarray) -> np.ndarray:
         """(2, A, n): per atom, exponent E_a(t) and its time-slope D_a(t) given q.
@@ -138,9 +145,10 @@ class _AtomKernels:
 
     def simpson_exponents_and_slopes(self, q: np.ndarray) -> np.ndarray:
         """As :meth:`exponents_and_slopes`, with Simpson quadrature throughout."""
-        conv_q = conv_simpson(self.kernels, q, self.dt)
-        conv_one = conv_simpson(self.kernels, np.ones_like(q), self.dt)
-        return self._q_free(conv_one) + conv_q[self.index]
+        kernels = self.kernels
+        conv_q = conv_simpson(kernels, q, self.dt)
+        conv_one = conv_simpson(kernels, np.ones_like(q), self.dt)
+        return self._q_free(kernels, conv_one) + conv_q[self.index]
 
 
 @dataclass(frozen=True)
@@ -179,19 +187,22 @@ def solve_q(
 ) -> LimitSolution:
     """Picard iteration for the contagion forcing, started from q = 0.
 
-    Stops by :func:`_picard`'s rule, and builds F from the last sweep's
-    exponents.  Also raises :class:`NonFiniteResultError` if the forcing
-    ends below -tol (the limit forcing is provably nonnegative, so
-    anything materially negative is a bug, not round-off).
+    Stops by :func:`_picard`'s rule, and builds F from the one (2, A, n)
+    block of exponents and slopes that the last sweep returns.  Also raises
+    :class:`NonFiniteResultError` if the forcing ends below -tol (the limit
+    forcing is provably nonnegative, so anything materially negative is a
+    bug, not round-off).
     """
     kern = _AtomKernels(measure, riccati, grid)
 
     def sweep(q):
-        E, D = kern.exponents_and_slopes(q)
-        survival = np.exp(-E)
-        return kern.contagion @ (D * survival), E, D, survival
+        block = kern.exponents_and_slopes(q)
+        E, D = block
+        return kern.contagion @ (D * np.exp(-E)), block
 
-    (q, E, D, survival), history = _picard(sweep, np.zeros(grid.n_points), tol, max_iter)
+    (q, block), history = _picard(sweep, np.zeros(grid.n_points), tol, max_iter)
+    block.setflags(write=False)  # before unpacking: a view keeps the flag it was made with
+    E, D = block
     low = q.min()
     if low < -tol:
         raise NonFiniteResultError(
@@ -204,12 +215,12 @@ def solve_q(
         measure=measure,
         riccati=tuple(riccati),
         q=Trajectory(grid, q),
-        f=Trajectory(grid, 1.0 - kern.weight @ survival),
+        f=Trajectory(grid, 1.0 - kern.weight @ np.exp(-E)),
         iterations=len(history),
         residual=history[-1],
         residual_history=tuple(history),
-        exponents=_read_only(E),
-        slopes=_read_only(D),
+        exponents=E,
+        slopes=D,
         _kernels=kern,
     )
 
@@ -219,7 +230,8 @@ def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
 
     ``sweep`` maps an iterate to a tuple whose first entry is the next
     iterate.  Stops once a sweep changes the iterate by <= ``tol`` in the
-    sup norm, and returns that sweep's tuple with the residual history.
+    sup norm, and returns that sweep's tuple with the residual history.  It
+    drops each earlier tuple, all but its iterate, before the next sweep.
     Raises :class:`NonFiniteResultError` at the first sweep whose iterate
     is not finite, and :class:`NoConvergenceError` after ``max_iter``.
     """
@@ -231,9 +243,9 @@ def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
         if not np.all(np.isfinite(out[0])):
             raise NonFiniteResultError(f"fixed-point sweep {iteration} produced non-finite values")
         history.append(float(np.max(np.abs(out[0] - x))))
-        x = out[0]
         if history[-1] <= tol:
             return out, history
+        x, out = out[0], None
     raise NoConvergenceError(max_iter, history[-1], tol)
 
 
@@ -243,11 +255,6 @@ def check_iteration(tol: float, max_iter: int) -> None:
         raise FieldError("tol", f"must be finite and > 0, got {tol!r}")
     if max_iter < 1:
         raise FieldError("max_iter", f"must be >= 1, got {max_iter!r}")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def compute_f(

@@ -1,3 +1,7 @@
+import hashlib
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -374,3 +378,50 @@ class TestTimeScaling:
         scaled = solve_limit(fast, TimeGrid(1.0 / c, n), tol=tol).f.values
         assert base[-1] > 0.1
         assert np.max(np.abs(scaled - base)) <= 10 * tol
+
+
+# sha256 over F, q, exponents and slopes of solve_limit, the one-atom pool
+# and then TestTimeScaling's two atoms, at n = 1000.  A change that moves
+# the limit's bits on purpose (ROADMAP items 1 and 13 will) says so in
+# CHANGES.md and replaces this digest.
+LIMIT_GOLDEN_SHA256 = "32c93301417eac2abf907071bbcf13ffbebde9bf8ea659f111983cb0740d48b3"
+
+
+def test_limit_bits_pinned():
+    digest = hashlib.sha256()
+    for measure in (homogeneous_measure(BASE, BASE_LAMBDA_INIT), TestTimeScaling.TWO_ATOMS):
+        sol = solve_limit(measure, TimeGrid(1.0, 1000))
+        for values in (sol.f.values, sol.q.values, sol.exponents, sol.slopes):
+            digest.update(values.tobytes())
+    assert digest.hexdigest() == LIMIT_GOLDEN_SHA256
+
+
+# README "Memory" states this figure
+BYTES_PER_POINT = 80
+
+
+class TestMemory:
+    def test_bytes_per_atom_grid_point(self):
+        """A solve keeps the kernel spectra and the q-free block, and a sweep
+        builds one (2, A, n) block while the previous sweep's is gone:
+        tracemalloc's peak over solve_limit, after a warm-up solve, is at
+        most BYTES_PER_POINT bytes per atom and grid point.  25 firm types
+        over the benchmark pool's ranges, x 2 initial intensities."""
+        rng = np.random.default_rng(34)
+        types = [FirmType(*rng.uniform((2.0, 0.3, 0.5, 0.5), (6.0, 0.7, 1.2, 3.0)))
+                 for _ in range(25)]
+        measure = DiscreteTypeMeasure(tuple(TypeAtom(ft, lam, 1 / 50)
+                                            for ft in types for lam in (0.2, 0.9)))
+        grid = TimeGrid(1.0, 4000)
+        solve_limit(measure, grid)
+        tracemalloc.start()
+        try:
+            solve_limit(measure, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (len(measure.atoms) * grid.n_points) <= BYTES_PER_POINT
+
+    def test_readme_states_the_bytes_per_point_bound(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        assert f"at most {BYTES_PER_POINT} bytes per atom-grid point" in " ".join(readme.split())
