@@ -42,7 +42,6 @@ from .errors import (
     CreditPoolError,
     FieldError,
     ValidationError,
-    Violation,
     bounded_repr,
     bounded_text,
 )
@@ -219,7 +218,7 @@ def _factor(eps: dict, **rest) -> SystematicFactorConfig:
     try:
         schedule = EpsSchedule(**eps)
     except FieldError as exc:  # it names its own field, under factor.eps
-        raise FieldError(f"eps.{exc.field}", exc.reason) from None
+        raise exc.under("eps") from None
     return SystematicFactorConfig(eps=schedule, **rest)
 
 
@@ -253,17 +252,15 @@ def resolve_config(config: dict) -> RunConfig:
     checked, so the one :class:`ValidationError` raised names every broken
     section.
     """
-    violations: list[Violation] = []
+    violations: list[FieldError] = []
 
     def checked(name: str, build):
         try:
             return build(**_typed(config[name], DEFAULT_CONFIG[name], name))
         except ValidationError as exc:
-            violations.extend(Violation(v.code, f"{name}.{v.where}", v.message)
-                              for v in exc.violations)
+            violations.extend(v.under(name) for v in exc.violations)
         except FieldError as exc:  # a value named by its path within the section
-            where = f"{name}.{exc.field}" if exc.field else name
-            violations.append(Violation("INVALID_VALUE", where, exc.reason))
+            violations.append(exc.under(name))
         return None
 
     def sim_section(n_reps: int, **rest) -> dict:

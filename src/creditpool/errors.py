@@ -1,13 +1,14 @@
 """Exception hierarchy shared across the toolkit.
 
-Every error carries a short machine-readable ``code``, which the CLI prints,
-and the ``exit_code`` the CLI returns for it: 2 config or validation, 3 no
-convergence, 4 non-finite, 1 any other toolkit error (no input should reach one).
+Every toolkit error carries a short machine-readable ``code``, which the CLI
+prints, and the ``exit_code`` the CLI returns for it: 2 config or validation,
+3 no convergence, 4 non-finite, 1 any other toolkit error (no input should
+reach one).  A rejected value is one :class:`FieldError`, named by its path
+in the config's own keys; a :class:`ValidationError` carries every one found
+in an input and prints each as ``INVALID_VALUE at <path>: <reason>``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def bounded_text(text: str) -> str:
@@ -27,14 +28,18 @@ def bounded_repr(value) -> str:
 
 
 class FieldError(ValueError):
-    """A value outside its domain: ``field`` is its dotted path, ``reason``
-    what it must be.  A caller that knows where the value came from, such as
-    a config section, puts that before ``field``."""
+    """A value outside its domain: ``field`` is its path in the config's
+    keys, such as ``atoms[0].sigma``, ``reason`` what it must be."""
 
     def __init__(self, field: str, reason: str):
         self.field = field
         self.reason = reason
         super().__init__(f"{field} {reason}")
+
+    def under(self, prefix: str) -> FieldError:
+        """The same rejection, its field named inside ``prefix``, such as the
+        config section the value came from."""
+        return FieldError(f"{prefix}.{self.field}" if self.field else prefix, self.reason)
 
 
 class CreditPoolError(Exception):
@@ -44,22 +49,12 @@ class CreditPoolError(Exception):
     exit_code = 1
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One validation failure: which field of which atom, and why."""
-
-    code: str          # NEGATIVE_PARAMETER | WEIGHT_SUM_MISMATCH | CAP_EXCEEDED | INVALID_VALUE
-    where: str         # e.g. "atoms[2].firm_type.sigma" or a config section
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code} at {self.where}: {self.message}"
-
-
 class ValidationError(CreditPoolError):
     """Raised when a measure or configuration violates model constraints.
 
-    Collects *all* violations found, not just the first.
+    ``violations`` holds *every* :class:`FieldError` found, not just the
+    first, and the message is each as ``INVALID_VALUE at <field>: <reason>``,
+    joined by ``"; "``.
     """
 
     code = "VALIDATION"
@@ -67,7 +62,8 @@ class ValidationError(CreditPoolError):
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
+        super().__init__("; ".join(f"INVALID_VALUE at {v.field}: {v.reason}"
+                                   for v in self.violations))
 
 
 class ConfigError(CreditPoolError):

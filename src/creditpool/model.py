@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldError, ValidationError, Violation, bounded_repr
+from .errors import FieldError, ValidationError, bounded_repr
 
 #: Default bound on every parameter and initial intensity.  The model
 #: requires *some* finite bound; the value is a configuration choice.
@@ -227,47 +226,36 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # validation and constructors
 
-#: The nonnegative, capped values of an atom: four rates and the initial intensity
-_NONNEG_FIELDS = ("firm_type.alpha", "firm_type.lambda_bar", "firm_type.sigma",
-                  "firm_type.beta_c", "lambda_init")
-
-
-def _check_atom(atom: TypeAtom, cap: float, where: str, out: list[Violation]) -> None:
-    for path in _NONNEG_FIELDS:
-        x = operator.attrgetter(path)(atom)
-        if not (math.isfinite(x) and x >= 0.0):
-            out.append(Violation("NEGATIVE_PARAMETER", f"{where}.{path}",
-                                 f"must be finite and >= 0, got {x}"))
-        elif x > cap:
-            out.append(Violation("CAP_EXCEEDED", f"{where}.{path}", f"{x} exceeds cap {cap}"))
+def _check_atom(atom: TypeAtom, cap: float, where: str, out: list[FieldError]) -> None:
     ft = atom.firm_type
-    if not math.isfinite(ft.beta_s):
-        out.append(Violation("NEGATIVE_PARAMETER", f"{where}.firm_type.beta_s",
-                             "must be finite"))
-    elif abs(ft.beta_s) > cap:
-        out.append(Violation("CAP_EXCEEDED", f"{where}.firm_type.beta_s",
-                             f"|{ft.beta_s}| exceeds cap {cap}"))
+    # four rates and the initial intensity are nonnegative; beta_s is signed
+    for key, x, low in (("alpha", ft.alpha, 0.0), ("lambda_bar", ft.lambda_bar, 0.0),
+                        ("sigma", ft.sigma, 0.0), ("beta_c", ft.beta_c, 0.0),
+                        ("beta_s", ft.beta_s, -cap), ("lambda_init", atom.lambda_init, 0.0)):
+        if not (math.isfinite(x) and low <= x <= cap):
+            out.append(FieldError(f"{where}.{key}",
+                                  f"must be finite and in [{low}, cap {cap}], got {x}"))
     if not (math.isfinite(atom.weight) and atom.weight > 0.0):
-        out.append(Violation("NEGATIVE_PARAMETER", f"{where}.weight",
-                             f"must be finite and > 0, got {atom.weight}"))
+        out.append(FieldError(f"{where}.weight", f"must be finite and > 0, got {atom.weight}"))
 
 
 def validate_measure(measure: DiscreteTypeMeasure, cap: float = DEFAULT_CAP) -> DiscreteTypeMeasure:
     """Check every atom against sign/finiteness/cap bounds and the weight sum.
 
     Returns the measure unchanged if valid; raises :class:`ValidationError`
-    listing *every* violation otherwise.  A ``cap`` that is NaN or <= 0 is
-    the one violation reported; ``math.inf`` bounds nothing.
+    listing *every* violation otherwise, each a :class:`FieldError` named by
+    the config's keys (``atoms[0].sigma``, ``atoms`` for the weight sum).  A
+    ``cap`` that is NaN or <= 0 is the one violation reported, at ``cap``;
+    ``math.inf`` bounds nothing.
     """
     if not cap > 0.0:
-        raise ValidationError([Violation("INVALID_VALUE", "cap", f"must be > 0, got {cap!r}")])
-    violations: list[Violation] = []
+        raise ValidationError([FieldError("cap", f"must be > 0, got {cap!r}")])
+    violations: list[FieldError] = []
     for i, atom in enumerate(measure.atoms):
         _check_atom(atom, cap, f"atoms[{i}]", violations)
     total = math.fsum(a.weight for a in measure.atoms)
     if not abs(total - 1.0) <= WEIGHT_TOL:
-        violations.append(Violation("WEIGHT_SUM_MISMATCH", "atoms",
-                                    f"weights sum to {total!r}, expected 1"))
+        violations.append(FieldError("atoms", f"must have weights summing to 1, got {total!r}"))
     if violations:
         raise ValidationError(violations)
     return measure

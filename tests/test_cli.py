@@ -19,10 +19,10 @@ from creditpool.cli import DEFAULT_CONFIG, MAX_SIZE, load_config, main, resolve_
 from creditpool.errors import (
     ConfigError,
     CreditPoolError,
+    FieldError,
     NoConvergenceError,
     NonFiniteResultError,
     NonFiniteStateError,
-    Violation,
     bounded_repr,
 )
 
@@ -456,7 +456,25 @@ def test_error_names_every_broken_section(tmp_path, capsys):
                  "--set", "measure.atoms.0.sigma=-1", "--set", "converge.n_values=[]"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "measure.atoms[0].firm_type.sigma" in err and "converge.n_values" in err
+    assert "INVALID_VALUE at measure.atoms[0].sigma: " in err and "converge.n_values" in err
+
+
+@pytest.mark.parametrize("override", [
+    "measure.atoms.0.sigma=-1", "measure.atoms.0.lambda_init=-1", "measure.atoms.0.alpha=1000",
+    "measure.atoms.0.beta_s=-1000", "measure.atoms.0.beta_s=NaN", "measure.atoms.0.weight=NaN",
+    'measure.atoms=[{"weight": 0.5}, {"weight": 0.6}]', "measure.cap=0",
+])
+def test_every_path_an_error_names_is_one_set_accepts(tmp_path, capsys, override):
+    # the measure named attribute paths (measure.atoms[0].firm_type.sigma),
+    # which --set rejects, under codes the README never mentions
+    assert main(["limit", "--out", str(tmp_path), *SMALL_GRID, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (VALIDATION): ")
+    for part in err.removeprefix("error (VALIDATION): ").rstrip("\n").split("; "):
+        assert part.startswith("INVALID_VALUE at ")
+        path = part.removeprefix("INVALID_VALUE at ").split(": ", 1)[0]
+        key = re.sub(r"\[(\d+)\]", r".\1", path)
+        load_config(None, [f"{key}=1"], None)  # raises ConfigError on a key --set rejects
 
 
 DEEP_LIST = b"[" * 500 + b"]" * 500  # parses, but copying it recursed too deep
@@ -512,11 +530,12 @@ def test_bounded_repr_of_a_value_too_deep_for_repr():
 
 @pytest.mark.parametrize("cap", ["NaN", "Infinity", "-1"])
 def test_cap_must_be_finite_and_positive(tmp_path, capsys, cap):
-    # NaN turned every cap check off and ran; -1 reported a CAP_EXCEEDED per field
+    # NaN turned every cap check off and ran; -1 reported a cap violation per field
     assert main(["limit", "--out", str(tmp_path), *SMALL_GRID,
                  "--set", f"measure.cap={cap}"]) == 2
     err = capsys.readouterr().err
-    assert "measure.cap" in err and "CAP_EXCEEDED" not in err
+    assert err.startswith("error (VALIDATION): INVALID_VALUE at measure.cap: ")
+    assert err.count("INVALID_VALUE") == 1
 
 
 @pytest.fixture
@@ -668,12 +687,14 @@ def test_readme_configuration_block_is_the_default_config():
 
 
 def test_readme_states_the_error_contract(tmp_path, capsys):
-    # the README's example of a rejected value prints what it says
+    # every README example of a rejected config prints what it says
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    override, line = re.search(r"`--set (\S+)` prints\s+`(error [^`]+)`", readme).groups()
-    assert main(["limit", "--out", str(tmp_path), "--set", override]) == 2
-    assert capsys.readouterr().err == line + "\n"
-    assert line.startswith("error (VALIDATION): INVALID_VALUE at grid.n_steps: ")
+    section = readme.split("### Configuration", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"`--set (\S+)` prints\s+`(error [^`]+)`", section)
+    assert {"grid.n_steps=2.5", "measure.atoms.0.sigma=-1"} <= {o for o, _ in examples}
+    for override, line in examples:
+        assert main(["limit", "--out", str(tmp_path), "--set", override]) == 2
+        assert capsys.readouterr().err == line + "\n"
 
 
 def test_readme_size_sentence_names_the_size_fields():
@@ -724,6 +745,9 @@ def test_fuzzed_leaf_exits_with_a_documented_code(tmp_path_factory, command, lea
     if err.getvalue().startswith("error (VALIDATION)"):
         # a rejected value is named by its path, never by its bare section
         assert not re.search(r"at (measure|factor|grid|solver|sim|converge): ", err.getvalue())
+        # and prints in the one form, whatever rule rejected it
+        for part in err.getvalue().removeprefix("error (VALIDATION): ").split("; "):
+            assert re.match(r"INVALID_VALUE at [\w.\[\]]+: ", part)
 
 
 # Config input: a --config file and --set go through one overlay, and every
@@ -818,8 +842,7 @@ def test_set_path_error_names_its_segment(tmp_path, capsys, key, segment):
 
 @pytest.mark.parametrize("error, code", [
     pytest.param(ConfigError("bad"), 2, id="config"),
-    pytest.param(ValidationError([Violation("INVALID_VALUE", "grid", "bad")]), 2,
-                 id="validation"),
+    pytest.param(ValidationError([FieldError("grid", "bad")]), 2, id="validation"),
     pytest.param(MemoryError("no room"), 2, id="memory"),
     pytest.param(NoConvergenceError(2, 0.5, 1e-10), 3, id="no-convergence"),
     pytest.param(NonFiniteResultError("nan"), 4, id="nonfinite-result"),

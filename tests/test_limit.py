@@ -180,7 +180,7 @@ class TestNonFiniteSweep:
 INVALID_ATOMS = {
     "weight-2": (TypeAtom(BASE, BASE_LAMBDA_INIT, 2.0), "atoms"),
     "sigma-negative": (TypeAtom(FirmType(4.0, 0.5, -0.9, 2.0), BASE_LAMBDA_INIT, 1.0),
-                       "atoms[0].firm_type.sigma"),
+                       "atoms[0].sigma"),
     "lambda-init-negative": (TypeAtom(BASE, -0.5, 1.0), "atoms[0].lambda_init"),
 }
 
@@ -203,14 +203,14 @@ class TestMeasureCheck:
         atom, where = INVALID_ATOMS[case]
         with pytest.raises(ValidationError) as err:
             call(DiscreteTypeMeasure((atom,)), grid_coarse)
-        assert [v.where for v in err.value.violations] == [where]
+        assert [v.field for v in err.value.violations] == [where]
 
     @pytest.mark.parametrize("case", ["sigma-negative", "lambda-init-negative"])
     def test_homogeneous_route(self, case, grid_coarse):
         atom, where = INVALID_ATOMS[case]
         with pytest.raises(ValidationError) as err:
             solve_homogeneous_f(atom.firm_type, atom.lambda_init, grid_coarse)
-        assert [v.where for v in err.value.violations] == [where]
+        assert [v.field for v in err.value.violations] == [where]
 
 
 class TestSolveLimit:

@@ -42,25 +42,28 @@ class TestValidateMeasure:
         m = DiscreteTypeMeasure((atom(weight=0.5), atom(weight=0.6)))
         with pytest.raises(ValidationError) as err:
             validate_measure(m)
-        assert "WEIGHT_SUM_MISMATCH" in [v.code for v in err.value.violations]
+        assert [(v.field, v.reason) for v in err.value.violations] == [
+            ("atoms", "must have weights summing to 1, got 1.1")]
 
     def test_negative_sigma(self):
         m = DiscreteTypeMeasure((atom(sigma=-0.1),))
         with pytest.raises(ValidationError) as err:
             validate_measure(m)
-        assert "NEGATIVE_PARAMETER" in [v.code for v in err.value.violations]
+        assert [v.field for v in err.value.violations] == ["atoms[0].sigma"]
 
     def test_cap_exceeded(self):
         m = DiscreteTypeMeasure((atom(alpha=11.0),))
         with pytest.raises(ValidationError) as err:
             validate_measure(m, cap=10.0)
-        assert [v.code for v in err.value.violations] == ["CAP_EXCEEDED"]
+        assert [(v.field, v.reason) for v in err.value.violations] == [
+            ("atoms[0].alpha", "must be finite and in [0.0, cap 10.0], got 11.0")]
 
     def test_beta_s_symmetric_cap(self):
         validate_measure(DiscreteTypeMeasure((atom(beta_s=-9.0),)), cap=10.0)
         with pytest.raises(ValidationError) as err:
             validate_measure(DiscreteTypeMeasure((atom(beta_s=-11.0),)), cap=10.0)
-        assert "CAP_EXCEEDED" in [v.code for v in err.value.violations]
+        assert [(v.field, v.reason) for v in err.value.violations] == [
+            ("atoms[0].beta_s", "must be finite and in [-10.0, cap 10.0], got -11.0")]
 
     def test_all_violations_reported(self):
         m = DiscreteTypeMeasure(
@@ -68,10 +71,8 @@ class TestValidateMeasure:
         )
         with pytest.raises(ValidationError) as err:
             validate_measure(m, cap=100.0)
-        codes = [v.code for v in err.value.violations]
-        assert "NEGATIVE_PARAMETER" in codes
-        assert "CAP_EXCEEDED" in codes
-        assert "WEIGHT_SUM_MISMATCH" in codes
+        assert [v.field for v in err.value.violations] == [
+            "atoms[0].sigma", "atoms[1].lambda_init", "atoms"]
 
     def test_nonpositive_weight_rejected(self):
         m = DiscreteTypeMeasure((atom(weight=0.0), atom(weight=1.0)))
@@ -85,10 +86,11 @@ class TestValidateMeasure:
 
     @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
     def test_nan_or_nonpositive_cap_is_the_one_violation(self, cap):
-        # NaN turned every cap check off; a cap <= 0 gave a CAP_EXCEEDED per field
+        # NaN turned every cap check off; a cap <= 0 gave a cap violation per field
         with pytest.raises(ValidationError) as err:
             validate_measure(DiscreteTypeMeasure((atom(),)), cap=cap)
-        assert [(v.code, v.where) for v in err.value.violations] == [("INVALID_VALUE", "cap")]
+        assert [(v.field, v.reason) for v in err.value.violations] == [
+            ("cap", f"must be > 0, got {cap!r}")]
 
     def test_infinite_cap_bounds_nothing(self):
         m = DiscreteTypeMeasure((atom(alpha=1e300, lambda_init=1e300),))

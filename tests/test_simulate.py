@@ -543,7 +543,7 @@ class TestAssignment:
                              measure=DiscreteTypeMeasure((TypeAtom(BASE, 0.5, 2.0),)))
         with pytest.raises(ValidationError) as err:
             run(config)
-        assert [v.where for v in err.value.violations] == ["atoms"]
+        assert [v.field for v in err.value.violations] == ["atoms"]
 
 
 class TestAggregates:
