@@ -27,6 +27,7 @@ import copy
 import errno
 import json
 import math
+import platform
 import re
 import sys
 import time
@@ -403,6 +404,10 @@ def _run(command: str, config: dict, run: RunConfig, out: Path) -> None:
         "seed": run.sim.seed,
         "config": config,
         "grid": {"t_end": grid.t_end, "n_steps": grid.n_steps, "dt": grid.dt},
+        # the limit's bits depend on the numpy build and its SIMD dispatch;
+        # numpy leaves out "found" when it dispatches to no extension
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "simd": np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])},
         **extra,
         "timing": {"seconds": seconds, "write_seconds": write_seconds, **extra.get("timing", {})},
     }

@@ -20,9 +20,9 @@ FFT spectra cached for the whole solve.
 The Picard map sends q to sum_a w_a beta_c_a D_a exp(-E_a), where E_a
 is the exponent above and D_a its time-slope.  :func:`solve_q` returns a
 :class:`LimitSolution`: q, F built from the last sweep's exponents, and
-the per-atom E_a and D_a.  dF/dt (:func:`f_derivative`) and
-:func:`contagion_identity_rhs`, the Picard map's image of the solved q
-under Simpson quadrature, read that solution and reuse its kernels
+the per-atom E_a and D_a; it holds no solver state.  dF/dt
+(:func:`f_derivative`) and :func:`contagion_identity_rhs`, the Picard
+map's image of the solved q under Simpson quadrature, read that solution
 instead of sweeping again.  :func:`compute_f` is the fresh evaluation of
 F at a given q.
 
@@ -72,9 +72,9 @@ def riccati_for_measure(
 class _AtomKernels:
     """Per-atom coefficients over one kernel row per distinct Riccati solution.
 
-    The forcing route's one door for a measure: :func:`solve_q` and
-    :func:`compute_f` build one, and it first checks the measure as the
-    simulator does (signs, finiteness and weight sum; no cap).
+    The forcing route's one door for a measure: every function that needs
+    E and D builds one, and it first checks the measure as the simulator
+    does (signs, finiteness and weight sum; no cap).  It holds no bulk array.
 
     Rows are keyed by the identity of each solution object:
     :func:`riccati_for_measure` shares one object per firm type, so atoms
@@ -114,11 +114,6 @@ class _AtomKernels:
         self.force = np.array([a.firm_type.alpha * a.firm_type.lambda_bar for a in atoms])[:, None]
         row = np.array(row_of_atom)
         self.index = np.stack([row, row + len(distinct)])
-        kernels = self.kernels
-        # the q-free part of E and D under the trapezoid rule; built before
-        # the spectra, so that its temporaries and the spectra never coexist
-        self.constant = self._q_free(kernels, prefix_trapezoid(kernels, self.dt))
-        self.trapezoid = TrapezoidKernel(kernels, self.dt)
 
     @property
     def kernels(self) -> np.ndarray:
@@ -133,18 +128,20 @@ class _AtomKernels:
         i = self.index
         return self.lam0 * kernels[i] + self.force * conv_one[i]
 
-    def exponents_and_slopes(self, q: np.ndarray) -> np.ndarray:
-        """(2, A, n): per atom, exponent E_a(t) and its time-slope D_a(t) given q.
-
-        The survival probability is exp(-E_a) and the surviving intensity
-        mass is D_a * exp(-E_a).  Trapezoid quadrature: one forward FFT of
-        q and one batched inverse over the cached kernel spectra.
-        """
-        conv_q = self.trapezoid.apply(q)
-        return self.constant + conv_q[self.index]
+    def trapezoid(self):
+        """The sweep's map from q to the (2, A, n) block of exponents E_a(t)
+        and slopes D_a(t): atom a survives with probability exp(-E_a), and
+        its surviving intensity mass is D_a exp(-E_a).  Trapezoid quadrature:
+        a call is one forward FFT of q and one batched inverse over the kernel
+        spectra.  The q-free block is built before the spectra, so that its
+        temporaries and the spectra never coexist."""
+        kernels, index = self.kernels, self.index
+        constant = self._q_free(kernels, prefix_trapezoid(kernels, self.dt))
+        spectra = TrapezoidKernel(kernels, self.dt)
+        return lambda q: constant + spectra.apply(q)[index]
 
     def simpson_exponents_and_slopes(self, q: np.ndarray) -> np.ndarray:
-        """As :meth:`exponents_and_slopes`, with Simpson quadrature throughout."""
+        """As the block :meth:`trapezoid` maps q to, with Simpson quadrature throughout."""
         kernels = self.kernels
         conv_q = conv_simpson(kernels, q, self.dt)
         conv_one = conv_simpson(kernels, np.ones_like(q), self.dt)
@@ -170,7 +167,6 @@ class LimitSolution:
     residual_history: tuple[float, ...]
     exponents: np.ndarray = field(compare=False, repr=False)
     slopes: np.ndarray = field(compare=False, repr=False)
-    _kernels: _AtomKernels = field(compare=False, repr=False)
 
     @property
     def grid(self) -> TimeGrid:
@@ -194,9 +190,10 @@ def solve_q(
     bug, not round-off).
     """
     kern = _AtomKernels(measure, riccati, grid)
+    exponents_and_slopes = kern.trapezoid()
 
     def sweep(q):
-        block = kern.exponents_and_slopes(q)
+        block = exponents_and_slopes(q)
         E, D = block
         return kern.contagion @ (D * np.exp(-E)), block
 
@@ -221,7 +218,6 @@ def solve_q(
         residual_history=tuple(history),
         exponents=E,
         slopes=D,
-        _kernels=kern,
     )
 
 
@@ -268,7 +264,7 @@ def compute_f(
     :class:`LimitSolution` already carries F from its last sweep.
     """
     kern = _AtomKernels(measure, riccati, q.grid)
-    E, _ = kern.exponents_and_slopes(q.values)
+    E, _ = kern.trapezoid()(q.values)
     return Trajectory(q.grid, 1.0 - kern.weight @ np.exp(-E))
 
 
@@ -279,7 +275,7 @@ def f_derivative(limit: LimitSolution) -> Trajectory:
     limit: sum_a w_a D_a exp(-E_a), read from the solution's last sweep.
     """
     masses = limit.slopes * np.exp(-limit.exponents)
-    return Trajectory(limit.grid, limit._kernels.weight @ masses)
+    return Trajectory(limit.grid, np.array([a.weight for a in limit.measure.atoms]) @ masses)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite sweep is reported by _picard
@@ -328,6 +324,6 @@ def contagion_identity_rhs(limit: LimitSolution) -> Trajectory:
     share the solver's trapezoid error, its gap to the solved q measures
     discretization error rather than echoing the Picard residual.
     """
-    kern = limit._kernels
+    kern = _AtomKernels(limit.measure, limit.riccati, limit.grid)
     E, D = kern.simpson_exponents_and_slopes(limit.q.values)
     return Trajectory(limit.grid, kern.contagion @ (D * np.exp(-E)))

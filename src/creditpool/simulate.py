@@ -32,36 +32,20 @@ memory O(batch cells), not O(N * n_steps).
 Memory per cell (one replication x firm): eight float32 rows (four rows of
 the coefficient table, intensity and three step rows), a ninth for the
 table's exposure row when the factor is on, the float64 clock, a one-byte
-hit flag and the 16-byte sign block, all freed before the results are
-built.  Recorded moments add only their two step-indexed rows per
+hit flag and the 16-byte sign block, all freed when :func:`_step_batch`
+returns.  Recorded moments add only their two step-indexed rows per
 replication, and smaller pools add their per-replication state
 (generators, step-indexed paths).  README "Memory" gives the measured
 bytes per cell.  Neither the sign dtype nor the block length moves an
 output bit: the signs are exactly +-1.0 in the product.
 
-Reproducibility (``RNG_CONTRACT`` 7): replication r of seed s draws its
-firm noise from one SFC64 stream seeded by ``(s, r)``: N
-standard-exponential thresholds first, then ``ceil(N / 64)`` raw 64-bit
-words per step, in step order.  Firm i's increment in a step is -1 if bit
-``i % 64`` (0 the least significant) of the step's word ``i // 64`` is
-set, else +1.  Per firm the step holds the coefficients ``-(alpha dt)``,
-``albar = (alpha dt) * lbar``, ``sigma sqrt(dt)``, ``beta_c / N`` and,
-with the factor on, ``eps * beta_s``, each taken in float64 and rounded
-once to float32, and the intensity, also float32.  It takes the drift as
-``slope * lam+ + albar``, where ``slope`` is ``-(alpha dt)``, or with the
-factor on ``(eps beta_s) * dx + (-(alpha dt))``, then adds the noise
-``sqrt(lam+) * (sigma sqrt(dt)) * (+-1)``, all in float32.  The clock is
-float64: it starts at the threshold times ``2 / dt`` and runs in units of
-dt/2, ``-= lam+ + max(lam, 0)`` with the sum taken in float32; a firm
-defaults when its clock is ``<= 0``.  ``d`` simultaneous defaults add
-``(beta_c / N) * d`` in float32.  The shared factor moves in float64 as
-``x exp(-gamma dt) + sqrt(-expm1(-2 gamma dt) / (2 gamma)) Z``, the scale
-read as ``sqrt(dt)`` where 2 gamma dt is below the smallest normal double,
-and its step ``dx`` enters the product rounded to float32; it and the
-sampled atom assignment have streams of their own under the same key.
-Recorded moments are float64 means of float32 values.  A replication's
-output is therefore bit-identical however the replications are batched, on
-any host; a firm's noise does depend on N.
+Reproducibility (``RNG_CONTRACT`` 7, stated in full in README
+"Determinism"): replication r of seed s draws from streams of its own keyed
+by ``(s, r)``, its firm signs as the bits of raw SFC64 words, and a step
+fixes every operation's order and format, float32 but for the float64
+clock and factor.  A replication's output is therefore bit-identical
+however the replications are batched, on any host; a firm's noise does
+depend on N.
 """
 
 from __future__ import annotations
@@ -195,10 +179,28 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     of finite intensities that overflows.
     """
     validate_measure(config.measure, cap=math.inf)  # the one door: signs, weight sum
-    n = config.n_firms
+    counts, moments = _step_batch(config, replications)
+    if moments is not None:
+        bad = ~np.isfinite(moments).all(axis=0).T  # (step, replication)
+        if bad.any():
+            step, i = divmod(int(np.argmax(bad)), len(replications))
+            raise NonFiniteStateError(replications[i], None, step)
+    l_path = np.cumsum(counts, axis=1) / config.n_firms
     grid = config.grid
-    n_steps = grid.n_steps
-    dt = grid.dt
+    return [SimResult(l_path=Trajectory(grid, l_path[i]),
+                      m1=None if moments is None else Trajectory(grid, moments[0, i]),
+                      m2=None if moments is None else Trajectory(grid, moments[1, i]),
+                      replication=r)
+            for i, r in enumerate(replications)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _step_batch(config: SimConfig, replications: range):
+    """Step the batch; return its defaults per step, ``(replications, n_steps + 1)``,
+    and its recorded moments, ``(2, replications, n_steps + 1)``, or None.  Every
+    per-cell array lives in this frame, so that returning frees it."""
+    n = config.n_firms
+    n_steps, dt = config.grid.n_steps, config.grid.dt
     sqdt = math.sqrt(dt)
     width = len(replications)
 
@@ -233,10 +235,9 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
             [t.sigma * sqdt for t in types], [t.beta_c / n for t in types]]
     if factor_active:
         rows.append([eps * t.beta_s for t in types])
-    with np.errstate(over="ignore"):
-        # take, not [:, atom_idx]: that keeps the bits but strides every row
-        coefficients = np.array(rows, dtype=np.float32).take(atom_idx, axis=1)
-        lam = np.array([a.lambda_init for a in atoms], dtype=np.float32).take(atom_idx)
+    # take, not [:, atom_idx]: that keeps the bits but strides every row
+    coefficients = np.array(rows, dtype=np.float32).take(atom_idx, axis=1)
+    lam = np.array([a.lambda_init for a in atoms], dtype=np.float32).take(atom_idx)
     del atom_idx
     neg_alpha_dt, albar, sigma_sqdt, beta_c_n = coefficients[:4]
     exposure = coefficients[4] if factor_active else None
@@ -249,108 +250,89 @@ def _simulate_batch(config: SimConfig, replications: range) -> list[SimResult]:
     factor_normals = np.empty((width, min(_SIGN_BLOCK, n_steps)))
 
     counts = np.zeros((width, n_steps + 1), dtype=np.int64)  # defaults per step
+    moments = np.empty((2, width, n_steps + 1)) if config.record_moments else None
+
+    def record(k: int) -> None:
+        # lam_plus is max(lam, 0), a defaulted firm's held at default;
+        # term is free between steps.  The square is float32, the means
+        # accumulate in float64.
+        moments[0, :, k] = lam_plus.mean(axis=1, dtype=np.float64)
+        moments[1, :, k] = np.multiply(lam_plus, lam_plus, out=term).mean(axis=1, dtype=np.float64)
+
+    np.maximum(lam, 0.0, out=lam_plus)
     if config.record_moments:
-        m1 = np.empty((width, n_steps + 1))
-        m2 = np.empty((width, n_steps + 1))
+        record(0)
+    for start in range(0, n_steps, _SIGN_BLOCK):
+        count = min(_SIGN_BLOCK, n_steps - start)
+        # per replication and step ceil(N / 64) words, read as
+        # little-endian bytes on any host; a set bit is -1, a clear one +1,
+        # mapped in place as one byte per sign
+        words = np.stack([g.bit_generator.random_raw((count, -(-n // 64))) for g in firm_rngs])
+        signs = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=2,
+                              bitorder="little")[:, :, :n].view(np.int8)
+        signs *= -2
+        signs += 1
+        for g, out in zip(factor_rngs, factor_normals):
+            g.standard_normal(count, out=out[:count])
 
-        def record(k: int) -> None:
-            # lam_plus is max(lam, 0), a defaulted firm's held at default;
-            # term is free between steps.  The square is float32, the means
-            # accumulate in float64.
-            m1[:, k] = lam_plus.mean(axis=1, dtype=np.float64)
-            m2[:, k] = np.multiply(lam_plus, lam_plus, out=term).mean(axis=1, dtype=np.float64)
+        # One step, in place:  with lam+ = max(lam, 0),
+        #   lam += slope lam+ + albar + sqrt(lam+) (sigma sqrt(dt)) (+-1),
+        # where albar = alpha dt lbar and slope is -(alpha dt), or, with
+        # the factor on, (eps beta_s) dx + (-(alpha dt)); then, in units
+        # of dt/2,
+        #   clock -= lam+ + max(lam, 0),
+        # each operation taken in the order written, in float32 but for
+        # the float64 clock and factor (dx is rounded once to float32;
+        # an int8 sign casts to exactly +-1.0).  The new max(lam, 0)
+        # goes into incr, free once lam has taken it, and swaps in as
+        # the next step's lam+ unless a default jump moves lam.
+        for j in range(count):
+            k = start + j
+            slope = neg_alpha_dt
+            if factor_active:
+                x_new = x * ou_decay + ou_scale * factor_normals[:, j]
+                dx = x_new - x
+                x = x_new
+                slope = np.multiply(exposure, dx.astype(np.float32)[:, None], out=incr)
+                slope += neg_alpha_dt
+            np.multiply(slope, lam_plus, out=incr)
+            incr += albar
+            np.sqrt(lam_plus, out=term)
+            term *= sigma_sqdt
+            term *= signs[:, j]
+            incr += term
+            lam += incr
+            # any NaN or inf makes the sum non-finite; an overflowing sum
+            # of finite values only costs a search that finds nothing
+            if not math.isfinite(np.add.reduce(lam, axis=None)):
+                bad = np.flatnonzero(~np.isfinite(lam))
+                if bad.size:
+                    r, firm = divmod(int(bad[0]), n)
+                    raise NonFiniteStateError(replications[r], firm, k + 1)
+            np.maximum(lam, 0.0, out=incr)
+            np.add(lam_plus, incr, out=term)
+            clock -= term
+            lam_plus, incr = incr, lam_plus
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.maximum(lam, 0.0, out=lam_plus)
-        if config.record_moments:
-            record(0)
-        for start in range(0, n_steps, _SIGN_BLOCK):
-            count = min(_SIGN_BLOCK, n_steps - start)
-            # per replication and step ceil(N / 64) words, read as
-            # little-endian bytes on any host; a set bit is -1, a clear one +1,
-            # mapped in place as one byte per sign
-            words = np.stack([g.bit_generator.random_raw((count, -(-n // 64))) for g in firm_rngs])
-            signs = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=2,
-                                  bitorder="little")[:, :, :n].view(np.int8)
-            signs *= -2
-            signs += 1
-            for g, out in zip(factor_rngs, factor_normals):
-                g.standard_normal(count, out=out[:count])
+            np.less_equal(clock, 0.0, out=hit)
+            newly = hit.ravel().nonzero()[0]  # np.flatnonzero, minus its call overhead
+            if newly.size:
+                d = np.bincount(newly // n, minlength=width)
+                counts[:, k + 1] = d
+                # ravel(): a view of each C-contiguous row, cheaper than .flat
+                clock.ravel()[newly] = np.nan
+                # a defaulted firm's coefficients go to zero, so from
+                # here on its intensity holds its value at default
+                coefficients.reshape(len(coefficients), -1)[:, newly] = 0.0
+                # one batched jump: d defaults each contribute beta_c / N
+                np.multiply(beta_c_n, d.astype(np.float32)[:, None], out=term)
+                lam += term
+                np.maximum(lam, 0.0, out=lam_plus)
 
-            # One step, in place:  with lam+ = max(lam, 0),
-            #   lam += slope lam+ + albar + sqrt(lam+) (sigma sqrt(dt)) (+-1),
-            # where albar = alpha dt lbar and slope is -(alpha dt), or, with
-            # the factor on, (eps beta_s) dx + (-(alpha dt)); then, in units
-            # of dt/2,
-            #   clock -= lam+ + max(lam, 0),
-            # each operation taken in the order written, in float32 but for
-            # the float64 clock and factor (dx is rounded once to float32;
-            # an int8 sign casts to exactly +-1.0).  The new max(lam, 0)
-            # goes into incr, free once lam has taken it, and swaps in as
-            # the next step's lam+ unless a default jump moves lam.
-            for j in range(count):
-                k = start + j
-                slope = neg_alpha_dt
-                if factor_active:
-                    x_new = x * ou_decay + ou_scale * factor_normals[:, j]
-                    dx = x_new - x
-                    x = x_new
-                    slope = np.multiply(exposure, dx.astype(np.float32)[:, None], out=incr)
-                    slope += neg_alpha_dt
-                np.multiply(slope, lam_plus, out=incr)
-                incr += albar
-                np.sqrt(lam_plus, out=term)
-                term *= sigma_sqdt
-                term *= signs[:, j]
-                incr += term
-                lam += incr
-                # any NaN or inf makes the sum non-finite; an overflowing sum
-                # of finite values only costs a search that finds nothing
-                if not math.isfinite(np.add.reduce(lam, axis=None)):
-                    bad = np.flatnonzero(~np.isfinite(lam))
-                    if bad.size:
-                        r, firm = divmod(int(bad[0]), n)
-                        raise NonFiniteStateError(replications[r], firm, k + 1)
-                np.maximum(lam, 0.0, out=incr)
-                np.add(lam_plus, incr, out=term)
-                clock -= term
-                lam_plus, incr = incr, lam_plus
-
-                np.less_equal(clock, 0.0, out=hit)
-                newly = hit.ravel().nonzero()[0]  # np.flatnonzero, minus its call overhead
-                if newly.size:
-                    d = np.bincount(newly // n, minlength=width)
-                    counts[:, k + 1] = d
-                    # ravel(): a view of each C-contiguous row, cheaper than .flat
-                    clock.ravel()[newly] = np.nan
-                    # a defaulted firm's coefficients go to zero, so from
-                    # here on its intensity holds its value at default
-                    coefficients.reshape(len(coefficients), -1)[:, newly] = 0.0
-                    # one batched jump: d defaults each contribute beta_c / N
-                    np.multiply(beta_c_n, d.astype(np.float32)[:, None], out=term)
-                    lam += term
-                    np.maximum(lam, 0.0, out=lam_plus)
-
-                if config.record_moments:
-                    record(k + 1)
-            del signs  # before the next block is unpacked
-    # the per-cell state, before the results copy the step-indexed rows; a
-    # name left holding a view of the table would keep the whole table alive
-    del coefficients, neg_alpha_dt, albar, sigma_sqdt, beta_c_n, exposure, slope
-    del lam, clock, lam_plus, incr, term, hit
-
-    if config.record_moments:
-        bad = ~(np.isfinite(m1) & np.isfinite(m2)).T  # (step, replication)
-        if bad.any():
-            step, i = divmod(int(np.argmax(bad)), width)
-            raise NonFiniteStateError(replications[i], None, step)
-
-    l_path = np.cumsum(counts, axis=1) / n
-    return [SimResult(l_path=Trajectory(grid, l_path[i]),
-                      m1=Trajectory(grid, m1[i]) if config.record_moments else None,
-                      m2=Trajectory(grid, m2[i]) if config.record_moments else None,
-                      replication=r)
-            for i, r in enumerate(replications)]
+            if config.record_moments:
+                record(k + 1)
+        del signs  # before the next block is unpacked
+    return counts, moments
 
 
 def simulate(config: SimConfig, replication: int = 0) -> SimResult:

@@ -3,7 +3,9 @@ import io
 import json
 import math
 import os
+import platform
 import re
+import shlex
 import subprocess
 import sys
 from importlib import import_module
@@ -905,3 +907,76 @@ def test_nonfinite_limit_solve_reports_in_one_line(tmp_path, command):
         "--set", "measure.atoms.0.lambda_bar=0")
     assert done.returncode == 4
     assert done.stderr.startswith("error (NONFINITE_RESULT)") and done.stderr.count("\n") == 1
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _readme_outputs():
+    """README "Outputs": per command, the files it always writes and those
+    it adds with ``sim.record_moments``."""
+    section = README.split("### Outputs", 1)[1].split("\n#", 1)[0]
+    files = {}
+    for command, cell in re.findall(r"^\| `(\w+)`\s*\| (.*?)\s*\|$", section, re.MULTILINE):
+        always, _, moments = cell.partition("with `sim.record_moments` also")
+        files[command] = tuple(set(re.findall(r"`([\w.]+\.(?:csv|json))`", part))
+                               for part in (always, moments))
+    return files
+
+
+README_OUTPUTS = _readme_outputs()
+# every `creditpool ...` line of README "CLI"'s code blocks, as a shell reads it
+README_EXAMPLES = [shlex.split(line, comments=True)
+                   for block in re.findall(r"```bash\n(.*?)```",
+                                           README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0],
+                                           re.DOTALL)
+                   for line in block.splitlines() if line.startswith("creditpool ")]
+# appended to each example; a later --set wins, but cannot rescue an unknown key
+EXAMPLE_SIZES = ["--set", "grid.n_steps=20", "--set", "sim.n_firms=50", "--set", "sim.n_reps=2",
+                 "--set", "converge.n_values=[20,40]", "--set", "converge.n_reps=2"]
+
+
+def test_readme_examples_cover_every_command():
+    assert set(README_OUTPUTS) == {"limit", "simulate", "converge", "figures"}
+    assert {argv[1] for argv in README_EXAMPLES} == set(README_OUTPUTS)
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES,
+                         ids=[f"{i}-{argv[1]}" for i, argv in enumerate(README_EXAMPLES)])
+def test_readme_cli_example_runs_as_written(argv, tmp_path):
+    assert argv[0] == "creditpool"
+    args = argv[1:]
+    if "--out" in args:
+        args[args.index("--out") + 1] = str(tmp_path)
+    else:
+        args += ["--out", str(tmp_path)]
+    assert main([*args, *EXAMPLE_SIZES]) == 0
+    always, moments = README_OUTPUTS[args[0]]
+    expected = always | moments if "sim.record_moments=true" in args else always
+    assert {path.name for path in tmp_path.iterdir()} == expected
+    manifest = json.loads((tmp_path / f"{args[0]}_manifest.json").read_text())
+    assert set(manifest["environment"]) == {"python", "numpy", "simd"}
+
+
+def test_manifest_names_the_numpy_build_and_simd_dispatch(tmp_path):
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    if not found:
+        pytest.skip("numpy found no SIMD extension to dispatch to on this host")
+    here, less, again = tmp_path / "here", tmp_path / "less", tmp_path / "again"
+    assert main(["limit", "--out", str(here), "--set", "grid.n_steps=20"]) == 0
+    manifest = here / "limit_manifest.json"
+    assert json.loads(manifest.read_text())["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "simd": found}
+    # the variable acts only on the child process it is set for
+    src = str(Path(cli_module.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "creditpool", "limit", "--out", str(less),
+         "--set", "grid.n_steps=20"],
+        env={**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": found[-1]},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    simd = json.loads((less / "limit_manifest.json").read_text())["environment"]["simd"]
+    assert found[-1] not in simd and set(simd) < set(found)
+    # a manifest passed back as --config still reproduces the run
+    assert main(["limit", "--out", str(again), "--config", str(manifest)]) == 0
+    assert (again / "limit.csv").read_bytes() == (here / "limit.csv").read_bytes()

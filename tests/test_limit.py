@@ -307,26 +307,29 @@ class TestBatchedKernel:
         m = DiscreteTypeMeasure((TypeAtom(ft, 0.5, 0.5), TypeAtom(ft, 0.5, 0.5)))
         riccati = (solve_riccati(ft, grid_coarse, "closed_form"),
                    solve_riccati(ft, grid_coarse, "rk4"))
+        rows = limit_module._AtomKernels(m, riccati, grid_coarse).kernels
+        assert rows.shape == (4, grid_coarse.n_points)  # b, b_dot each
         sol = solve_q(m, riccati, grid_coarse, tol=1e-12)
-        assert sol._kernels.kernels.shape == (4, grid_coarse.n_points)  # b, b_dot each
         assert np.max(np.abs(sol.exponents[0] - sol.exponents[1])) > 1e-12
         q_ref, E_ref, D_ref = per_atom_picard(m, grid_coarse, 1e-12, riccati)
         assert np.max(np.abs(sol.q.values - q_ref)) <= 1e-13
         assert np.max(np.abs(sol.exponents - E_ref)) <= 1e-13
         assert np.max(np.abs(sol.slopes - D_ref)) <= 1e-13
         # one object shared by both atoms is one row
-        shared = solve_q(m, (riccati[0], riccati[0]), grid_coarse, tol=1e-12)
-        assert shared._kernels.kernels.shape == (2, grid_coarse.n_points)
+        shared = limit_module._AtomKernels(m, (riccati[0], riccati[0]), grid_coarse).kernels
+        assert shared.shape == (2, grid_coarse.n_points)
 
     def test_one_solve_builds_one_kernel_object(self, two_by_three, grid_coarse, monkeypatch):
+        # the trapezoid spectra are built once per solve; the diagnostic and
+        # dF/dt read the solution and build none
         built = []
-        original = limit_module._AtomKernels
+        original = limit_module.TrapezoidKernel
 
-        def counting(measure, riccati, grid):
-            built.append(measure)
-            return original(measure, riccati, grid)
+        def counting(kernels, dt):
+            built.append(kernels.shape)
+            return original(kernels, dt)
 
-        monkeypatch.setattr(limit_module, "_AtomKernels", counting)
+        monkeypatch.setattr(limit_module, "TrapezoidKernel", counting)
         sol = solve_limit(two_by_three, grid_coarse)
         q_identity_diagnostic(sol)
         f_derivative(sol)
@@ -396,8 +399,12 @@ def test_limit_bits_pinned():
     assert digest.hexdigest() == LIMIT_GOLDEN_SHA256
 
 
-# README "Memory" states this figure
+# README "Memory" states these figures, in bytes per atom-grid point: the
+# peak of a solve, what a solution keeps once its solve has returned, and
+# the peak of the identity diagnostic on that solution
 BYTES_PER_POINT = 80
+HELD_BYTES_PER_POINT = 30
+DIAGNOSTIC_BYTES_PER_POINT = 110
 
 
 class TestMemory:
@@ -422,6 +429,38 @@ class TestMemory:
             tracemalloc.stop()
         assert peak / (len(measure.atoms) * grid.n_points) <= BYTES_PER_POINT
 
+    def test_held_solution_and_diagnostic_bytes(self):
+        """A returned solution is plain data, q, F, E, D and its Riccati
+        solutions, with no spectra or q-free block: tracemalloc's count once
+        solve_limit has returned is at most HELD_BYTES_PER_POINT bytes per
+        atom and grid point.  The diagnostic's Simpson evaluation sits on top
+        of it, with no second set of spectra: its peak is at most
+        DIAGNOSTIC_BYTES_PER_POINT.  The pool above, after a warm-up."""
+        rng = np.random.default_rng(34)
+        types = [FirmType(*rng.uniform((2.0, 0.3, 0.5, 0.5), (6.0, 0.7, 1.2, 3.0)))
+                 for _ in range(25)]
+        measure = DiscreteTypeMeasure(tuple(TypeAtom(ft, lam, 1 / 50)
+                                            for ft in types for lam in (0.2, 0.9)))
+        grid = TimeGrid(1.0, 4000)
+        points = len(measure.atoms) * grid.n_points
+        q_identity_diagnostic(solve_limit(measure, grid))
+        tracemalloc.start()
+        try:
+            sol = solve_limit(measure, grid)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            q_identity_diagnostic(sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held / points <= HELD_BYTES_PER_POINT
+        assert peak / points <= DIAGNOSTIC_BYTES_PER_POINT
+
     def test_readme_states_the_bytes_per_point_bound(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         assert f"at most {BYTES_PER_POINT} bytes per atom-grid point" in " ".join(readme.split())
+
+    def test_readme_states_the_held_and_diagnostic_bounds(self):
+        readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+        for bound in (HELD_BYTES_PER_POINT, DIAGNOSTIC_BYTES_PER_POINT):
+            assert f"at most {bound} bytes per atom-grid point" in readme
