@@ -298,6 +298,8 @@ def _cmd_limit(run: RunConfig):
         "solver_iterations": sol.iterations,
         "solver_residual": sol.residual,
         "residual_history": list(sol.residual_history),
+        "f_error_estimate": sol.f_error_estimate,
+        "levels": [{"n_steps": n_steps, "sweeps": sweeps} for n_steps, sweeps in sol.levels],
     }
 
 

@@ -26,6 +26,12 @@ map's image of the solved q under Simpson quadrature, read that solution
 instead of sweeping again.  :func:`compute_f` is the fresh evaluation of
 F at a given q.
 
+:func:`solve_limit` runs that loop on a ladder of nested grids, halving
+the step down to a floor: the coarsest level starts from q = 0 and each
+finer one from a Richardson-corrected prolongation of the coarser q, so
+fine levels stop after a sweep or two.  The F of the level below gives
+the error estimate |F_n - F_{n/2}| / 3 that the solution carries.
+
 A second, independent route exists for single-class pools: iterate on F
 itself in the integral equation
 
@@ -40,7 +46,7 @@ sweep the same way.  The two discretizations agree at O(beta_c * dt^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +59,8 @@ from .riccati import RiccatiSolution, solve_riccati
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
+#: :func:`solve_limit`'s coarsest grid has at least this many steps
+LADDER_FLOOR = 250
 
 
 def riccati_for_measure(
@@ -69,12 +77,29 @@ def riccati_for_measure(
     return tuple(solved[a.firm_type] for a in measure.atoms)
 
 
+def _check_pool(measure: DiscreteTypeMeasure, riccati, grid: TimeGrid) -> None:
+    """The forcing route's one door: checks the measure as the simulator does
+    (signs, finiteness and weight sum; no cap), then one Riccati solution per
+    atom, of the atom's firm type, on ``grid``.  Each public entry that takes
+    Riccati solutions calls it once; :func:`solve_limit`, which solves its
+    own, checks only the measure, and a :class:`LimitSolution` was checked
+    by its solve."""
+    validate_measure(measure, cap=math.inf)
+    if len(riccati) != len(measure.atoms):
+        raise ValueError("need exactly one Riccati solution per atom")
+    for atom, ric in zip(measure.atoms, riccati):
+        if ric.grid != grid:
+            raise ValueError("Riccati solutions must share the solver grid")
+        if ric.firm_type != atom.firm_type:
+            raise ValueError("Riccati solution does not match its atom")
+
+
 class _AtomKernels:
     """Per-atom coefficients over one kernel row per distinct Riccati solution.
 
-    The forcing route's one door for a measure: every function that needs
-    E and D builds one, and it first checks the measure as the simulator
-    does (signs, finiteness and weight sum; no cap).  It holds no bulk array.
+    Every function that needs E and D builds one, on a measure and Riccati
+    solutions that its public entry has checked (:func:`_check_pool`); it
+    checks nothing itself.  It holds no bulk array.
 
     Rows are keyed by the identity of each solution object:
     :func:`riccati_for_measure` shares one object per firm type, so atoms
@@ -89,18 +114,11 @@ class _AtomKernels:
     """
 
     def __init__(self, measure, riccati, grid):
-        validate_measure(measure, cap=math.inf)
         atoms = measure.atoms
-        if len(riccati) != len(atoms):
-            raise ValueError("need exactly one Riccati solution per atom")
         rows: dict[int, int] = {}
         distinct = []
         row_of_atom = []
-        for atom, ric in zip(atoms, riccati):
-            if ric.grid != grid:
-                raise ValueError("Riccati solutions must share the solver grid")
-            if ric.firm_type != atom.firm_type:
-                raise ValueError("Riccati solution does not match its atom")
+        for ric in riccati:
             if id(ric) not in rows:
                 rows[id(ric)] = len(distinct)
                 distinct.append(ric)
@@ -155,7 +173,12 @@ class LimitSolution:
     ``exponents`` and ``slopes`` are the per-atom E and D (one row per
     atom) of the last Picard sweep, the sweep whose image is ``q``: atom a
     survives with probability exp(-E_a), its surviving intensity mass is
-    D_a exp(-E_a), and F is built from them.
+    D_a exp(-E_a), and F is built from them.  ``iterations``, ``residual``
+    and ``residual_history`` describe the solve on this grid; ``levels``
+    lists the ``(n_steps, sweeps)`` of every grid of the nested solve,
+    coarsest first (one entry for a one-level solve).  ``f_error_estimate``
+    is |F_n - F_{n/2}| / 3 on the points shared with the next coarser
+    level, or None when there was none.
     """
 
     measure: DiscreteTypeMeasure
@@ -165,6 +188,8 @@ class LimitSolution:
     iterations: int
     residual: float
     residual_history: tuple[float, ...]
+    levels: tuple[tuple[int, int], ...]
+    f_error_estimate: float | None
     exponents: np.ndarray = field(compare=False, repr=False)
     slopes: np.ndarray = field(compare=False, repr=False)
 
@@ -173,7 +198,6 @@ class LimitSolution:
         return self.q.grid
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite sweep is reported by _picard
 def solve_q(
     measure: DiscreteTypeMeasure,
     riccati: tuple[RiccatiSolution, ...],
@@ -181,14 +205,21 @@ def solve_q(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LimitSolution:
-    """Picard iteration for the contagion forcing, started from q = 0.
+    """Picard iteration for the contagion forcing on one grid, started from q = 0.
 
     Stops by :func:`_picard`'s rule, and builds F from the one (2, A, n)
     block of exponents and slopes that the last sweep returns.  Also raises
     :class:`NonFiniteResultError` if the forcing ends below -tol (the limit
     forcing is provably nonnegative, so anything materially negative is a
-    bug, not round-off).
+    bug, not round-off).  A one-level solve: no error estimate.
     """
+    _check_pool(measure, riccati, grid)
+    return _solve_level(measure, riccati, grid, tol, max_iter, np.zeros(grid.n_points))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sweep is reported by _picard
+def _solve_level(measure, riccati, grid, tol, max_iter, start) -> LimitSolution:
+    """:func:`solve_q` on a checked pool, with the Picard loop started from ``start``."""
     kern = _AtomKernels(measure, riccati, grid)
     exponents_and_slopes = kern.trapezoid()
 
@@ -197,7 +228,7 @@ def solve_q(
         E, D = block
         return kern.contagion @ (D * np.exp(-E)), block
 
-    (q, block), history = _picard(sweep, np.zeros(grid.n_points), tol, max_iter)
+    (q, block), history = _picard(sweep, start, tol, max_iter)
     block.setflags(write=False)  # before unpacking: a view keeps the flag it was made with
     E, D = block
     low = q.min()
@@ -216,9 +247,35 @@ def solve_q(
         iterations=len(history),
         residual=history[-1],
         residual_history=tuple(history),
+        levels=((grid.n_steps, len(history)),),
+        f_error_estimate=None,
         exponents=E,
         slopes=D,
     )
+
+
+def _prolong(coarse: np.ndarray) -> np.ndarray:
+    """Values on the grid of half the step: the coarse points kept, each
+    midpoint by the 4-point cubic rule (-1, 9, 9, -1)/16, and the two end
+    midpoints by the one-sided 3-point rule (3, 6, -1)/8."""
+    fine = np.empty(2 * len(coarse) - 1)
+    fine[::2] = coarse
+    fine[3:-3:2] = (9.0 * (coarse[1:-2] + coarse[2:-1]) - coarse[:-3] - coarse[3:]) / 16.0
+    fine[1] = (3.0 * coarse[0] + 6.0 * coarse[1] - coarse[2]) / 8.0
+    fine[-2] = (3.0 * coarse[-1] + 6.0 * coarse[-2] - coarse[-3]) / 8.0
+    return fine
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite start is reported by _picard
+def _start(level: TimeGrid, coarse_q, coarser_q) -> np.ndarray:
+    """Where the nested solve starts the Picard loop on ``level``: q = 0 with
+    no coarser level, P q_2h with one, and P (q_2h + (q_2h - P q_4h) / 4)
+    with two, P being :func:`_prolong`."""
+    if coarse_q is None:
+        return np.zeros(level.n_points)
+    if coarser_q is None:
+        return _prolong(coarse_q)
+    return _prolong(coarse_q + (coarse_q - _prolong(coarser_q)) / 4.0)
 
 
 def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
@@ -263,6 +320,7 @@ def compute_f(
     A fresh evaluation of the exponents at the given ``q``; a solved
     :class:`LimitSolution` already carries F from its last sweep.
     """
+    _check_pool(measure, riccati, q.grid)
     kern = _AtomKernels(measure, riccati, q.grid)
     E, _ = kern.trapezoid()(q.values)
     return Trajectory(q.grid, 1.0 - kern.weight @ np.exp(-E))
@@ -311,8 +369,39 @@ def solve_limit(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LimitSolution:
-    """Full limit pipeline: Riccati per firm type, then the contagion fixed point."""
-    return solve_q(measure, riccati_for_measure(measure, grid), grid, tol=tol, max_iter=max_iter)
+    """Full limit pipeline: Riccati per firm type, then the contagion fixed
+    point, solved on a ladder of nested grids; returns the finest grid's solution.
+
+    The ladder halves ``grid.n_steps`` while it stays even and at least
+    :data:`LADDER_FLOOR`.  The coarsest level starts from q = 0.  The
+    trapezoid q has an error expansion in even powers of the step, so each
+    finer level starts from the prolongation (:func:`_prolong`) of
+    q_2h + (q_2h - P q_4h) / 4, the two coarser levels' estimate of its
+    own q; the second level, with no q_4h, starts from P q_2h.  Every
+    level stops by the same rule, so the result agrees with a cold
+    one-level :func:`solve_q` to within the stopping tolerance.  An odd
+    ``n_steps``, or one below twice the floor, is a ladder of one level: a
+    cold solve with no error estimate.
+    """
+    validate_measure(measure, cap=math.inf)
+    grids = [grid]
+    while grids[-1].n_steps % 2 == 0 and grids[-1].n_steps // 2 >= LADDER_FLOOR:
+        grids.append(TimeGrid(grid.t_end, grids[-1].n_steps // 2))
+    coarse_q = coarser_q = coarse_f = None
+    levels = []
+    for level in reversed(grids):
+        sol = _solve_level(measure, riccati_for_measure(measure, level), level, tol, max_iter,
+                           _start(level, coarse_q, coarser_q))
+        levels.append((level.n_steps, sol.iterations))
+        if level is grid:
+            break
+        # only these vectors outlive a coarse level
+        coarser_q, coarse_q, coarse_f = coarse_q, sol.q.values, sol.f.values
+        sol = None
+    estimate = None
+    if coarse_f is not None:
+        estimate = float(np.max(np.abs(sol.f.values[::2] - coarse_f))) / 3.0
+    return replace(sol, levels=tuple(levels), f_error_estimate=estimate)
 
 
 def contagion_identity_rhs(limit: LimitSolution) -> Trajectory:

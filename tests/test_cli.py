@@ -109,6 +109,18 @@ class TestLimitCommand:
         assert history[-1] == manifest["solver_residual"]
         assert manifest["timing"]["write_seconds"] >= 0.0
 
+    def test_manifest_records_levels_and_error_estimate(self, tmp_path):
+        # 80 steps is one level with no estimate; 1000 steps is 250, 500, 1000
+        assert main(["limit", "--out", str(tmp_path / "a"), *SMALL_GRID]) == 0
+        one = json.loads((tmp_path / "a" / "limit_manifest.json").read_text())
+        assert one["levels"] == [{"n_steps": 80, "sweeps": one["solver_iterations"]}]
+        assert one["f_error_estimate"] is None
+        assert main(["limit", "--out", str(tmp_path / "b"), "--set", "grid.n_steps=1000"]) == 0
+        nested = json.loads((tmp_path / "b" / "limit_manifest.json").read_text())
+        assert [level["n_steps"] for level in nested["levels"]] == [250, 500, 1000]
+        assert nested["levels"][-1]["sweeps"] == nested["solver_iterations"]
+        assert 0.0 < nested["f_error_estimate"] < 1e-6
+
     def test_atoms_of_one_type_write_equal_b_columns(self, tmp_path):
         atom = {"alpha": 4.0, "lambda_bar": 0.5, "sigma": 0.9, "beta_c": 2.0}
         atoms = json.dumps([dict(atom, lambda_init=0.2, weight=0.5),

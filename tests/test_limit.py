@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import tracemalloc
 from pathlib import Path
 
@@ -212,6 +213,22 @@ class TestMeasureCheck:
             solve_homogeneous_f(atom.firm_type, atom.lambda_init, grid_coarse)
         assert [v.field for v in err.value.violations] == [where]
 
+    def test_checked_once_per_entry(self, two_by_three, monkeypatch):
+        # a five-level solve and the diagnostic and dF/dt on its solution
+        # check the measure once, where it enters
+        calls = []
+        original = limit_module.validate_measure
+
+        def counting(measure, cap):
+            calls.append(measure)
+            return original(measure, cap)
+
+        monkeypatch.setattr(limit_module, "validate_measure", counting)
+        sol = solve_limit(two_by_three, TimeGrid(1.0, 4000))
+        q_identity_diagnostic(sol)
+        f_derivative(sol)
+        assert len(sol.levels) == 5 and len(calls) == 1
+
 
 class TestSolveLimit:
     def test_bundles_everything(self, base_measure, grid_1k):
@@ -383,11 +400,72 @@ class TestTimeScaling:
         assert np.max(np.abs(scaled - base)) <= 10 * tol
 
 
+def _benchmark_pool():
+    """limit-hetero-cli's pool at seed 901: 25 firm types x 2 initial intensities."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    atoms = workloads.make_inputs(workloads.LIMIT_CLI, 901)["measure"]["atoms"]
+    return DiscreteTypeMeasure(tuple(
+        TypeAtom(FirmType(a["alpha"], a["lambda_bar"], a["sigma"], a["beta_c"], a["beta_s"]),
+                 a["lambda_init"], a["weight"])
+        for a in atoms))
+
+
+class TestNestedSolve:
+    """solve_limit solves on halved grids first, each level started from the
+    Richardson-corrected prolongation of the coarser ones."""
+
+    def test_prolongation_exact_on_cubics(self):
+        coarse_t = np.linspace(0.0, 1.0, 11)
+        fine_t = np.linspace(0.0, 1.0, 21)
+        cubic = lambda t: 1.0 - 2.0 * t + 3.0 * t**2 - 5.0 * t**3  # noqa: E731
+        fine = limit_module._prolong(cubic(coarse_t))
+        assert np.max(np.abs(fine[2:-2] - cubic(fine_t)[2:-2])) <= 1e-14
+        quadratic = lambda t: 1.0 - 2.0 * t + 3.0 * t**2  # noqa: E731
+        assert np.max(np.abs(limit_module._prolong(quadratic(coarse_t))
+                             - quadratic(fine_t))) <= 1e-14
+
+    @pytest.mark.parametrize("measure", [homogeneous_measure(BASE, BASE_LAMBDA_INIT),
+                                         TestTimeScaling.TWO_ATOMS],
+                             ids=["one-atom", "two-atoms"])
+    def test_error_estimate_within_2x_of_true_error(self, measure):
+        # reference: Richardson's (4 F_64000 - F_32000) / 3 on the 32000 grid
+        half = solve_limit(measure, TimeGrid(1.0, 32000), tol=1e-12).f.values
+        full = solve_limit(measure, TimeGrid(1.0, 64000), tol=1e-12).f.values
+        reference = (4.0 * full[::2] - half) / 3.0
+        sol = solve_limit(measure, TimeGrid(1.0, 1000))
+        true_error = np.max(np.abs(sol.f.values - reference[::32]))
+        assert 0.5 <= sol.f_error_estimate / true_error <= 2.0
+
+    def test_warm_start_matches_a_cold_solve(self):
+        measure = _benchmark_pool()
+        grid = TimeGrid(1.0, 4000)
+        warm = solve_limit(measure, grid)
+        cold = solve_q(measure, riccati_for_measure(measure, grid), grid)
+        assert [n for n, _ in warm.levels] == [250, 500, 1000, 2000, 4000]
+        assert warm.f.sup_distance(cold.f) <= 1e-11
+        # the finest level starts next to its fixed point
+        assert warm.levels[-1] == (4000, warm.iterations) and warm.iterations <= 3
+        assert len(warm.residual_history) == warm.iterations
+
+    @pytest.mark.parametrize("n_steps", [1001, 498], ids=["odd", "below-twice-the-floor"])
+    def test_one_level_is_a_cold_solve(self, base_measure, n_steps):
+        grid = TimeGrid(1.0, n_steps)
+        sol = solve_limit(base_measure, grid)
+        cold = solve_q(base_measure, riccati_for_measure(base_measure, grid), grid)
+        assert sol.levels == ((n_steps, sol.iterations),) == cold.levels
+        assert sol.f_error_estimate is None and cold.f_error_estimate is None
+        assert np.array_equal(sol.f.values, cold.f.values)
+        assert np.array_equal(sol.q.values, cold.q.values)
+
+
 # sha256 over F, q, exponents and slopes of solve_limit, the one-atom pool
 # and then TestTimeScaling's two atoms, at n = 1000.  A change that moves
-# the limit's bits on purpose (ROADMAP items 1 and 13 will) says so in
-# CHANGES.md and replaces this digest.
-LIMIT_GOLDEN_SHA256 = "32c93301417eac2abf907071bbcf13ffbebde9bf8ea659f111983cb0740d48b3"
+# the limit's bits on purpose (ROADMAP item 1 will; the nested-grid solve
+# did) says so in CHANGES.md and replaces this digest.
+LIMIT_GOLDEN_SHA256 = "3fdbbca15a1bd5dcb9250feb263bc7f2c6b7c7899d19e6f4f2e01acc0f950dd2"
 
 
 def test_limit_bits_pinned():
