@@ -75,17 +75,20 @@ class ConfigError(CreditPoolError):
 
 
 class NoConvergenceError(CreditPoolError):
-    """Fixed-point iteration failed to reach tolerance within max_iter."""
+    """Fixed-point iteration failed to reach tolerance within max_iter,
+    on the grid of ``n_steps`` steps when one is named."""
 
     code = "NO_CONVERGENCE"
     exit_code = 3
 
-    def __init__(self, iterations: int, residual: float, tol: float):
+    def __init__(self, iterations: int, residual: float, tol: float, n_steps: int | None = None):
         self.iterations = iterations
         self.residual = residual
         self.tol = tol
+        self.n_steps = n_steps
+        where = "" if n_steps is None else f" on the {n_steps}-step grid"
         super().__init__(
-            f"no convergence after {iterations} iterations: "
+            f"no convergence after {iterations} iterations{where}: "
             f"residual {residual:.3e} > tol {tol:.3e}"
         )
 

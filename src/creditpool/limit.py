@@ -15,7 +15,7 @@ by Picard iteration with trapezoid quadrature for all time-convolutions
 on a shared uniform grid; one private loop, :func:`_picard`, holds the
 stop rule of every route.  Atoms of one firm type share one Riccati
 solve, and a sweep convolves q with each distinct kernel once, through
-FFT spectra cached for the whole solve.
+FFT spectra cached for the grid being solved.
 
 The Picard map sends q to sum_a w_a beta_c_a D_a exp(-E_a), where E_a
 is the exponent above and D_a its time-slope.  :func:`solve_q` returns a
@@ -26,11 +26,12 @@ map's image of the solved q under Simpson quadrature, read that solution
 instead of sweeping again.  :func:`compute_f` is the fresh evaluation of
 F at a given q.
 
-:func:`solve_limit` runs that loop on a ladder of nested grids, halving
-the step down to a floor: the coarsest level starts from q = 0 and each
-finer one from a Richardson-corrected prolongation of the coarser q, so
-fine levels stop after a sweep or two.  The F of the level below gives
-the error estimate |F_n - F_{n/2}| / 3 that the solution carries.
+One private loop, :func:`_solve`, runs :func:`solve_q` on its grid and
+:func:`solve_limit` on nested grids, halving the step down to a floor.  A
+coarse grid reads the finest grid's Riccati rows at its stride (the bits
+of its own closed form) and starts from a Richardson-corrected
+prolongation of the coarser q, so fine grids stop after a sweep or two.
+The grid below gives the error estimate |F_n - F_{n/2}| / 3.
 
 A second, independent route exists for single-class pools: iterate on F
 itself in the integral equation
@@ -46,7 +47,7 @@ sweep the same way.  The two discretizations agree at O(beta_c * dt^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,6 +125,7 @@ class _AtomKernels:
                 distinct.append(ric)
             row_of_atom.append(rows[id(ric)])
         self.dt = grid.dt
+        self.n_steps = grid.n_steps
         self.distinct = distinct
         self.weight = np.array([a.weight for a in atoms])
         # the Picard map's weights: q = contagion @ (D exp(-E))
@@ -146,16 +148,16 @@ class _AtomKernels:
         i = self.index
         return self.lam0 * kernels[i] + self.force * conv_one[i]
 
-    def trapezoid(self):
-        """The sweep's map from q to the (2, A, n) block of exponents E_a(t)
-        and slopes D_a(t): atom a survives with probability exp(-E_a), and
-        its surviving intensity mass is D_a exp(-E_a).  Trapezoid quadrature:
-        a call is one forward FFT of q and one batched inverse over the kernel
-        spectra.  The q-free block is built before the spectra, so that its
-        temporaries and the spectra never coexist."""
-        kernels, index = self.kernels, self.index
-        constant = self._q_free(kernels, prefix_trapezoid(kernels, self.dt))
-        spectra = TrapezoidKernel(kernels, self.dt)
+    def trapezoid(self, stride: int = 1):
+        """The sweep's map from q to the (2, A, n) block of exponents E_a(t) and
+        slopes D_a(t) on every ``stride``-th point: atom a survives with
+        probability exp(-E_a), and its surviving intensity mass is D_a exp(-E_a).
+        Trapezoid quadrature, step ``stride * dt``: a call is one forward FFT of
+        q and one batched inverse over the kernel spectra.  The q-free block is
+        built before the spectra, so its temporaries and the spectra never coexist."""
+        kernels, index, dt = self.kernels[:, ::stride], self.index, self.dt * stride
+        constant = self._q_free(kernels, prefix_trapezoid(kernels, dt))
+        spectra = TrapezoidKernel(kernels, dt)
         return lambda q: constant + spectra.apply(q)[index]
 
     def simpson_exponents_and_slopes(self, q: np.ndarray) -> np.ndarray:
@@ -211,47 +213,69 @@ def solve_q(
     block of exponents and slopes that the last sweep returns.  Also raises
     :class:`NonFiniteResultError` if the forcing ends below -tol (the limit
     forcing is provably nonnegative, so anything materially negative is a
-    bug, not round-off).  A one-level solve: no error estimate.
+    bug, not round-off).  A one-grid solve: no error estimate.
     """
     _check_pool(measure, riccati, grid)
-    return _solve_level(measure, riccati, grid, tol, max_iter, np.zeros(grid.n_points))
+    return _solve(measure, riccati, grid, tol, max_iter, (1,))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite sweep is reported by _picard
-def _solve_level(measure, riccati, grid, tol, max_iter, start) -> LimitSolution:
-    """:func:`solve_q` on a checked pool, with the Picard loop started from ``start``."""
+def _solve(measure, riccati, grid, tol, max_iter, strides) -> LimitSolution:
+    """:func:`solve_q` and :func:`solve_limit` on a checked pool: one
+    :class:`_AtomKernels` on ``grid``, :func:`_solve_grid` for each of
+    ``strides`` (coarsest first, ending at 1), then one solution."""
     kern = _AtomKernels(measure, riccati, grid)
-    exponents_and_slopes = kern.trapezoid()
+    coarse_q = coarser_q = coarse_f = None
+    levels = []
+    for stride in strides:
+        q, f, block, history = _solve_grid(kern, stride, tol, max_iter, coarse_q, coarser_q)
+        levels.append((grid.n_steps // stride, len(history)))
+        if stride > 1:  # only these vectors outlive a coarse grid
+            coarser_q, coarse_q, coarse_f, block = coarse_q, q, f, None
+    block.setflags(write=False)  # before indexing: a view keeps the flag it was made with
+    estimate = None if coarse_f is None else float(np.max(np.abs(f[::2] - coarse_f))) / 3.0
+    return LimitSolution(
+        measure=measure,
+        riccati=tuple(riccati),
+        q=Trajectory(grid, q),
+        f=Trajectory(grid, f),
+        iterations=len(history),
+        residual=history[-1],
+        residual_history=tuple(history),
+        levels=tuple(levels),
+        f_error_estimate=estimate,
+        exponents=block[0],
+        slopes=block[1],
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite start or sweep is reported by _picard
+def _solve_grid(kern: _AtomKernels, stride: int, tol, max_iter, q_2h, q_4h):
+    """The Picard loop on every ``stride``-th point of ``kern``'s grid, from
+    q = 0 with no coarser grid, P q_2h with one, and P (q_2h + (q_2h -
+    P q_4h) / 4) with two, P being :func:`_prolong`.  Returns q, F, the
+    last sweep's block and the residual history; the spectra and the
+    q-free block die with the call."""
+    exponents_and_slopes = kern.trapezoid(stride)
 
     def sweep(q):
         block = exponents_and_slopes(q)
         E, D = block
         return kern.contagion @ (D * np.exp(-E)), block
 
+    if q_2h is None:
+        start = np.zeros(kern.n_steps // stride + 1)
+    else:
+        start = _prolong(q_2h if q_4h is None else q_2h + (q_2h - _prolong(q_4h)) / 4.0)
     (q, block), history = _picard(sweep, start, tol, max_iter)
-    block.setflags(write=False)  # before unpacking: a view keeps the flag it was made with
-    E, D = block
     low = q.min()
     if low < -tol:
         raise NonFiniteResultError(
-            f"contagion forcing reached {low:.3e}, below -tol; "
+            f"contagion forcing reached {low:.3e} on the {len(q) - 1}-step grid, below -tol; "
             "the nonnegative fixed point should not do that"
         )
     if low < 0.0:
         q = np.where(q < 0.0, 0.0, q)  # round-off only: values in (-tol, 0)
-    return LimitSolution(
-        measure=measure,
-        riccati=tuple(riccati),
-        q=Trajectory(grid, q),
-        f=Trajectory(grid, 1.0 - kern.weight @ np.exp(-E)),
-        iterations=len(history),
-        residual=history[-1],
-        residual_history=tuple(history),
-        levels=((grid.n_steps, len(history)),),
-        f_error_estimate=None,
-        exponents=E,
-        slopes=D,
-    )
+    return q, 1.0 - kern.weight @ np.exp(-block[0]), block, history
 
 
 def _prolong(coarse: np.ndarray) -> np.ndarray:
@@ -266,18 +290,6 @@ def _prolong(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite start is reported by _picard
-def _start(level: TimeGrid, coarse_q, coarser_q) -> np.ndarray:
-    """Where the nested solve starts the Picard loop on ``level``: q = 0 with
-    no coarser level, P q_2h with one, and P (q_2h + (q_2h - P q_4h) / 4)
-    with two, P being :func:`_prolong`."""
-    if coarse_q is None:
-        return np.zeros(level.n_points)
-    if coarser_q is None:
-        return _prolong(coarse_q)
-    return _prolong(coarse_q + (coarse_q - _prolong(coarser_q)) / 4.0)
-
-
 def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
     """The stop rule of both limit routes: iterate ``sweep`` from ``start``.
 
@@ -286,7 +298,8 @@ def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
     sup norm, and returns that sweep's tuple with the residual history.  It
     drops each earlier tuple, all but its iterate, before the next sweep.
     Raises :class:`NonFiniteResultError` at the first sweep whose iterate
-    is not finite, and :class:`NoConvergenceError` after ``max_iter``.
+    is not finite, and :class:`NoConvergenceError` after ``max_iter``, each
+    naming the grid, of ``len(start) - 1`` steps.
     """
     check_iteration(tol, max_iter)
     x = start
@@ -294,12 +307,13 @@ def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
     for iteration in range(1, max_iter + 1):
         out = sweep(x)
         if not np.all(np.isfinite(out[0])):
-            raise NonFiniteResultError(f"fixed-point sweep {iteration} produced non-finite values")
+            raise NonFiniteResultError(f"fixed-point sweep {iteration} produced non-finite "
+                                       f"values on the {len(start) - 1}-step grid")
         history.append(float(np.max(np.abs(out[0] - x))))
         if history[-1] <= tol:
             return out, history
         x, out = out[0], None
-    raise NoConvergenceError(max_iter, history[-1], tol)
+    raise NoConvergenceError(max_iter, history[-1], tol, n_steps=len(start) - 1)
 
 
 def check_iteration(tol: float, max_iter: int) -> None:
@@ -373,35 +387,21 @@ def solve_limit(
     point, solved on a ladder of nested grids; returns the finest grid's solution.
 
     The ladder halves ``grid.n_steps`` while it stays even and at least
-    :data:`LADDER_FLOOR`.  The coarsest level starts from q = 0.  The
-    trapezoid q has an error expansion in even powers of the step, so each
-    finer level starts from the prolongation (:func:`_prolong`) of
-    q_2h + (q_2h - P q_4h) / 4, the two coarser levels' estimate of its
-    own q; the second level, with no q_4h, starts from P q_2h.  Every
-    level stops by the same rule, so the result agrees with a cold
-    one-level :func:`solve_q` to within the stopping tolerance.  An odd
-    ``n_steps``, or one below twice the floor, is a ladder of one level: a
-    cold solve with no error estimate.
+    :data:`LADDER_FLOOR`, each coarse grid reading ``grid``'s Riccati rows
+    at its stride.  The coarsest grid starts from q = 0.  The trapezoid q
+    has an error expansion in even powers of the step, so each finer grid
+    starts from the prolongation (:func:`_prolong`) of q_2h + (q_2h -
+    P q_4h) / 4, the two coarser grids' estimate of its own q; the second
+    grid, with no q_4h, starts from P q_2h.  Every grid stops by the same
+    rule, so the result agrees with a cold one-grid :func:`solve_q` to
+    within the stopping tolerance.  An odd ``n_steps``, or one below twice
+    the floor, is a ladder of one grid: a cold solve with no error estimate.
     """
     validate_measure(measure, cap=math.inf)
-    grids = [grid]
-    while grids[-1].n_steps % 2 == 0 and grids[-1].n_steps // 2 >= LADDER_FLOOR:
-        grids.append(TimeGrid(grid.t_end, grids[-1].n_steps // 2))
-    coarse_q = coarser_q = coarse_f = None
-    levels = []
-    for level in reversed(grids):
-        sol = _solve_level(measure, riccati_for_measure(measure, level), level, tol, max_iter,
-                           _start(level, coarse_q, coarser_q))
-        levels.append((level.n_steps, sol.iterations))
-        if level is grid:
-            break
-        # only these vectors outlive a coarse level
-        coarser_q, coarse_q, coarse_f = coarse_q, sol.q.values, sol.f.values
-        sol = None
-    estimate = None
-    if coarse_f is not None:
-        estimate = float(np.max(np.abs(sol.f.values[::2] - coarse_f))) / 3.0
-    return replace(sol, levels=tuple(levels), f_error_estimate=estimate)
+    strides = [1]
+    while (grid.n_steps // strides[0]) % 2 == 0 and grid.n_steps // strides[0] // 2 >= LADDER_FLOOR:
+        strides.insert(0, 2 * strides[0])
+    return _solve(measure, riccati_for_measure(measure, grid), grid, tol, max_iter, strides)
 
 
 def contagion_identity_rhs(limit: LimitSolution) -> Trajectory:

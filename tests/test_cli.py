@@ -88,6 +88,19 @@ class TestLimitCommand:
         )
         assert code == 3
 
+    def test_solver_errors_name_the_failing_grid(self, tmp_path, capsys):
+        # the 4000-step run fails on its ladder's first grid, of 250 steps:
+        # the 4000-step grid itself converges in 2 sweeps
+        code = main(["limit", "--out", str(tmp_path), "--set", "grid.n_steps=4000",
+                     "--set", "solver.max_iter=13"])
+        assert code == 3
+        assert "no convergence after 13 iterations on the 250-step grid: " in capsys.readouterr().err
+        code = main(["limit", "--out", str(tmp_path), "--set", "grid.t_end=1e306",
+                     "--set", "grid.n_steps=4", "--set", "measure.atoms.0.alpha=0",
+                     "--set", "measure.atoms.0.sigma=0", "--set", "measure.atoms.0.lambda_bar=0"])
+        assert code == 4
+        assert "produced non-finite values on the 4-step grid" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         assert main(["limit", "--out", str(tmp_path), "--set", "grid.steps=5"]) == 2
 

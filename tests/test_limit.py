@@ -438,6 +438,14 @@ class TestNestedSolve:
         sol = solve_limit(measure, TimeGrid(1.0, 1000))
         true_error = np.max(np.abs(sol.f.values - reference[::32]))
         assert 0.5 <= sol.f_error_estimate / true_error <= 2.0
+        # R = (4 F_n - F_{n/2}) / 3 on the n/2 points is order 4: its error
+        # falls at least 10x from n = 250 to 500, where it sits well above the
+        # reference's own; tol 1e-13 keeps the stopping error below it
+        f = {n: solve_limit(measure, TimeGrid(1.0, n), tol=1e-13).f.values for n in (125, 250, 500)}
+        r_error = {n: np.max(np.abs((4.0 * f[n][::2] - f[n // 2]) / 3.0
+                                    - reference[::32000 // (n // 2)]))
+                   for n in (250, 500)}
+        assert r_error[250] >= 10.0 * r_error[500]
 
     def test_warm_start_matches_a_cold_solve(self):
         measure = _benchmark_pool()
@@ -449,6 +457,52 @@ class TestNestedSolve:
         # the finest level starts next to its fixed point
         assert warm.levels[-1] == (4000, warm.iterations) and warm.iterations <= 3
         assert len(warm.residual_history) == warm.iterations
+
+    def test_one_riccati_solve_per_type_and_one_kernel_set(self, two_by_three, monkeypatch):
+        # five grids, three firm types: three Riccati solves, read at every
+        # grid's stride, one _AtomKernels and one LimitSolution
+        built = {"riccati": 0, "kernels": 0, "solutions": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(limit_module, "solve_riccati",
+                            counting("riccati", limit_module.solve_riccati))
+        monkeypatch.setattr(limit_module, "_AtomKernels",
+                            counting("kernels", limit_module._AtomKernels))
+        monkeypatch.setattr(limit_module, "LimitSolution",
+                            counting("solutions", limit_module.LimitSolution))
+        sol = solve_limit(two_by_three, TimeGrid(1.0, 4000))
+        assert len(sol.levels) == 5
+        assert built == {"riccati": 3, "kernels": 1, "solutions": 1}
+
+    @pytest.mark.parametrize("t_end", [1.0, 0.7, 0.25, 3.0])
+    @pytest.mark.parametrize("n_steps", [1000, 3000, 4000])
+    def test_coarse_grid_reads_the_fine_riccati_rows_bit_for_bit(self, t_end, n_steps):
+        # the nested solve reads a coarse grid's Riccati rows at its stride
+        # in the finest grid's; that keeps its bits only while both agree
+        # exactly, the step and every closed-form b and b_dot
+        fine = TimeGrid(t_end, n_steps)
+        for stride in (2, 4):
+            coarse = TimeGrid(t_end, n_steps // stride)
+            assert coarse.dt == stride * fine.dt
+            for ft in (BASE, FirmType(2.0, 0.3, 0.5, 1.0), FirmType(6.0, 0.8, 1.2, 3.0),
+                       FirmType(3.0, 0.5, 0.0, 1.0)):
+                rows, own = solve_riccati(ft, fine), solve_riccati(ft, coarse)
+                assert np.array_equal(rows.b.values[::stride], own.b.values)
+                assert np.array_equal(rows.b_dot.values[::stride], own.b_dot.values)
+
+    def test_negative_forcing_names_its_grid(self, two_by_three):
+        # a Picard map with its sign flipped has a negative fixed point; the
+        # error names the grid it ended on, here every second point of 500
+        grid = TimeGrid(1.0, 500)
+        kern = limit_module._AtomKernels(two_by_three, riccati_for_measure(two_by_three, grid), grid)
+        kern.contagion = -kern.contagion
+        with pytest.raises(NonFiniteResultError, match="on the 250-step grid, below -tol"):
+            limit_module._solve_grid(kern, 2, 1e-10, 200, None, None)
 
     @pytest.mark.parametrize("n_steps", [1001, 498], ids=["odd", "below-twice-the-floor"])
     def test_one_level_is_a_cold_solve(self, base_measure, n_steps):
