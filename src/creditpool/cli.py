@@ -17,7 +17,9 @@ The ``--config`` file and each ``--set`` go over the defaults through one
 
 A run is one pipeline: :func:`resolve_config` checks every section,
 whichever command runs; the command only computes its tables; and
-:func:`_run` writes them and the manifest.
+:func:`_run` writes them and the manifest.  The domain constructors check
+the kind and the value of each field; this module adds only the rules of
+the measure's atom list, which no type owns.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import errno
 import json
 import math
 import platform
-import re
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -49,12 +50,14 @@ from .errors import (
 from .limit import DEFAULT_MAX_ITER, DEFAULT_TOL, check_iteration, solve_limit
 from .model import (
     DEFAULT_CAP,
+    MAX_SIZE,
     DiscreteTypeMeasure,
     EpsSchedule,
     FirmType,
     SystematicFactorConfig,
     TimeGrid,
     TypeAtom,
+    real,
     validate_measure,
     whole_number,
 )
@@ -134,18 +137,19 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
     """Defaults, overlaid by the config file, --set overrides, then --seed."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
+        shown = bounded_text(path)  # echoed like a key: one line, bounded
         try:
-            loaded = _json(Path(path).read_text(encoding="utf-8"), f"config file {path}")
+            loaded = _json(Path(path).read_text(encoding="utf-8"), f"config file {shown}")
         except OSError as exc:  # the errors that Path.exists() reads as "no such file"
             if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
-                raise
-            raise ConfigError(f"config file not found: {path}") from None
+                raise OSError(exc.errno, f"{exc.strerror}: config file {shown}") from None
+            raise ConfigError(f"config file not found: {shown}") from None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"config file {shown} is not valid JSON: {exc}") from exc
         if isinstance(loaded, dict) and "command" in loaded and "config" in loaded:
             loaded = loaded["config"]  # accept a manifest as a config
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must contain a JSON object")
+            raise ConfigError(f"config file {shown} must contain a JSON object")
         _overlay(config, loaded, "")
     for expr in sets:
         _apply_set(config, expr)
@@ -154,65 +158,31 @@ def load_config(path: str | None, sets: list[str], seed: int | None) -> dict:
     return config
 
 
-# Ceiling of every size field (steps, firms, replications, pool sizes): far
-# beyond any run that fits in memory, and low enough that no array shape
-# or loop count built from it overflows.  ``key[]`` names each entry of a list.
-MAX_SIZE = 2**31 - 1
-SIZE_FIELDS = ("grid.n_steps", "sim.n_firms", "sim.n_reps", "converge.n_reps",
-               "converge.n_values[]")
+# The value rules that no domain constructor owns.
 
 
-#: What a leaf of each type in DEFAULT_CONFIG must be, in JSON terms
-_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
-          float: "a number"}
-
-
-def _typed(value, default, section: str, where: str = ""):
-    """``value``, at path ``where`` in ``section``, checked against the JSON kind
-    of ``default``, its counterpart in :data:`DEFAULT_CONFIG`, with each number
-    made the default's float or int.  An object may hold any of the default's
-    keys; each entry of a list is checked like the default's first; an int leaf
-    takes :func:`whole_number`'s values, at most :data:`MAX_SIZE` in a size field."""
-    kind = type(default)
-    if kind is int:
-        n = whole_number(value, where)
-        if n > MAX_SIZE and re.sub(r"\[\d+\]", "[]", f"{section}.{where}") in SIZE_FIELDS:
-            raise FieldError(where, f"must be <= {MAX_SIZE}, got {bounded_repr(value)}")
-        return n
-    # Python counts a bool as a number; a config never does
-    if (not isinstance(value, (int, float) if kind is float else kind)
-            or isinstance(value, bool) and kind is not bool):
-        raise FieldError(where, f"must be {_KINDS[kind]}, got {bounded_repr(value)}")
-    if kind is dict:
-        unknown = set(value) - set(default)
-        if unknown:
-            raise FieldError(where, f"has unknown keys: {bounded_repr(sorted(unknown))}")
-        return {key: _typed(v, default[key], section, f"{where}.{key}" if where else key)
-                for key, v in value.items()}
-    if kind is list:
-        return [_typed(v, default[0], section, f"{where}[{i}]") for i, v in enumerate(value)]
-    if kind is float:
-        try:
-            return float(value)
-        except OverflowError:  # an integer literal beyond the double range
-            raise FieldError(where, f"is out of range, got {bounded_repr(value)}") from None
-    return value
-
-
-# The value rules that no domain constructor owns, each on a section typed
-# by _typed.
-
-
-def _measure(cap: float, atoms: list[dict]) -> DiscreteTypeMeasure:
-    if not math.isfinite(cap):  # validate_measure takes an infinite cap
+def _measure(cap, atoms) -> DiscreteTypeMeasure:
+    """``atoms`` is a list of objects, each holding only keys of the default
+    atom, which fills in every key that an atom omits."""
+    if not math.isfinite(real(cap, "cap")):  # validate_measure takes an infinite cap
         raise FieldError("cap", f"must be finite, got {cap!r}")
-    # a key that an atom omits takes its value from the default atom
-    atoms = [{**DEFAULT_CONFIG["measure"]["atoms"][0], **atom} for atom in atoms]
-    measure = DiscreteTypeMeasure(atoms=tuple(
-        TypeAtom(FirmType(**{f.name: atom[f.name] for f in fields(FirmType)}),
-                 lambda_init=atom["lambda_init"], weight=atom["weight"])
-        for atom in atoms))
-    return validate_measure(measure, cap=cap)
+    if not isinstance(atoms, list):
+        raise FieldError("atoms", f"must be a list, got {bounded_repr(atoms)}")
+    default = DEFAULT_CONFIG["measure"]["atoms"][0]
+    built = []
+    for i, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            raise FieldError(f"atoms[{i}]", f"must be an object, got {bounded_repr(atom)}")
+        unknown = set(atom) - set(default)
+        if unknown:
+            raise FieldError(f"atoms[{i}]", f"has unknown keys: {bounded_repr(sorted(unknown))}")
+        atom = {**default, **atom}
+        try:
+            built.append(TypeAtom(FirmType(**{f.name: atom[f.name] for f in fields(FirmType)}),
+                                  lambda_init=atom["lambda_init"], weight=atom["weight"]))
+        except FieldError as exc:  # it names its own field, under atoms[i]
+            raise exc.under(f"atoms[{i}]") from None
+    return validate_measure(DiscreteTypeMeasure(atoms=tuple(built)), cap=cap)
 
 
 def _factor(eps: dict, **rest) -> SystematicFactorConfig:
@@ -223,19 +193,10 @@ def _factor(eps: dict, **rest) -> SystematicFactorConfig:
     return SystematicFactorConfig(eps=schedule, **rest)
 
 
-def _solver(tol: float, max_iter: int) -> dict:
-    check_iteration(tol, max_iter)
-    return {"tol": tol, "max_iter": max_iter}
-
-
-def _converge(n_values: list[int], n_reps: int) -> dict:
-    check_ladder(n_values, n_reps)
-    return {"n_values": tuple(n_values), "converge_reps": n_reps}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """A whole config, checked: what any command reads."""
+    """A whole config, checked: what any command reads, in the order of
+    the checked ``sim``, ``solver`` and ``converge`` sections."""
 
     sim: SimConfig  # also the measure, factor, grid and seed of every command
     sim_reps: int
@@ -248,39 +209,37 @@ class RunConfig:
 def resolve_config(config: dict) -> RunConfig:
     """Check every section of a loaded config, whichever command will run.
 
-    Each section is typed by :func:`_typed`, then built by the domain
-    constructors.  A broken section is recorded and the rest are still
-    checked, so the one :class:`ValidationError` raised names every broken
-    section.
+    Each section is built by the domain constructors, which check the kind
+    and the value of every field they take.  A broken section is recorded
+    and the rest are still checked, so the one :class:`ValidationError`
+    raised names every broken section.
     """
     violations: list[FieldError] = []
 
     def checked(name: str, build):
         try:
-            return build(**_typed(config[name], DEFAULT_CONFIG[name], name))
+            return build(**config[name])
         except ValidationError as exc:
             violations.extend(v.under(name) for v in exc.violations)
         except FieldError as exc:  # a value named by its path within the section
             violations.append(exc.under(name))
         return None
 
-    def sim_section(n_reps: int, **rest) -> dict:
-        if n_reps < 1:
-            raise FieldError("n_reps", f"must be >= 1, got {n_reps!r}")
+    def sim_section(n_reps, **rest) -> tuple[SimConfig, int]:
+        n_reps = whole_number(n_reps, "n_reps", 1, MAX_SIZE)
         # SimConfig does not look at the measure, factor or grid, so a
         # broken one (None) still lets it check the sim section
-        return {"sim": SimConfig(measure=measure, factor=factor, grid=grid, **rest),
-                "sim_reps": n_reps}
+        return SimConfig(measure=measure, factor=factor, grid=grid, **rest), n_reps
 
     measure = checked("measure", _measure)
     factor = checked("factor", _factor)
     grid = checked("grid", TimeGrid)
-    solver = checked("solver", _solver)
+    solver = checked("solver", check_iteration)
     sim = checked("sim", sim_section)
-    converge = checked("converge", _converge)
+    converge = checked("converge", check_ladder)
     if violations:
         raise ValidationError(violations)
-    return RunConfig(**sim, **solver, **converge)
+    return RunConfig(*sim, *solver, *converge)
 
 
 # ---------------------------------------------------------------------------

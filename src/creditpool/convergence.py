@@ -18,6 +18,7 @@ Three instruments:
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,12 +32,14 @@ from .limit import (
     solve_limit,
 )
 from .model import (
+    MAX_SIZE,
     DiscreteTypeMeasure,
     FirmType,
     SystematicFactorConfig,
     TimeGrid,
     Trajectory,
     homogeneous_measure,
+    whole_number,
 )
 from .simulate import SimConfig, median_q10_q90, run_replications
 
@@ -67,21 +70,25 @@ class ConvergenceReport:
     median_violations: tuple[int, ...]
 
 
-def check_ladder(n_values: list[int], n_reps: int) -> None:
-    """The rules of every pool-size ladder: at least one pool size, each
-    >= 1, and ``n_reps`` >= 2 replications per size."""
-    if not n_values or min(n_values) < 1:
+def check_ladder(n_values: Sequence[int], n_reps: int) -> tuple[tuple[int, ...], int]:
+    """The rules of every pool-size ladder, checked: a sequence of at least
+    one pool size, each a whole number in [1, :data:`MAX_SIZE`], and ``n_reps``
+    >= 2 replications per size.  Returns the sizes as a tuple and ``n_reps``,
+    as ints; a bad entry is named ``n_values[i]``."""
+    if isinstance(n_values, str) or not isinstance(n_values, Sequence):
+        raise FieldError("n_values", f"must be a list, got {bounded_repr(n_values)}")
+    sizes = tuple(whole_number(n, f"n_values[{i}]", high=MAX_SIZE) for i, n in enumerate(n_values))
+    if not sizes or min(sizes) < 1:
         raise FieldError("n_values", f"must be a non-empty list of pool sizes >= 1, "
                                      f"got {bounded_repr(n_values)}")
-    if n_reps < 2:
-        raise FieldError("n_reps", f"must be >= 2, got {n_reps!r}")
+    return sizes, whole_number(n_reps, "n_reps", 2, MAX_SIZE)
 
 
 def lln_experiment(
     measure: DiscreteTypeMeasure,
     factor: SystematicFactorConfig,
     grid: TimeGrid,
-    n_values: list[int],
+    n_values: Sequence[int],
     n_reps: int,
     seed: int,
     tol: float = DEFAULT_TOL,
@@ -98,7 +105,7 @@ def lln_experiment(
     :class:`SimConfig` assignment); per replication the distance is the
     max over grid points of |simulated default rate - limit|.
     """
-    check_ladder(n_values, n_reps)
+    n_values, n_reps = check_ladder(n_values, n_reps)
     if limit is None:
         limit = solve_limit(measure, grid, tol=tol, max_iter=max_iter)
     elif limit.grid != grid or limit.measure != measure:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import FieldError, NoConvergenceError, NonFiniteResultError
 from .model import (DiscreteTypeMeasure, FirmType, TimeGrid, Trajectory,
-                    homogeneous_measure, validate_measure)
+                    homogeneous_measure, real, validate_measure, whole_number)
 from .quadrature import TrapezoidKernel, conv_simpson, prefix_trapezoid
 from .quadrature import conv_trapezoid  # noqa: F401 - perfbench patches it here
 from .riccati import RiccatiSolution, solve_riccati
@@ -301,7 +301,7 @@ def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
     is not finite, and :class:`NoConvergenceError` after ``max_iter``, each
     naming the grid, of ``len(start) - 1`` steps.
     """
-    check_iteration(tol, max_iter)
+    tol, max_iter = check_iteration(tol, max_iter)
     x = start
     history = []
     for iteration in range(1, max_iter + 1):
@@ -316,12 +316,13 @@ def _picard(sweep, start: np.ndarray, tol: float, max_iter: int):
     raise NoConvergenceError(max_iter, history[-1], tol, n_steps=len(start) - 1)
 
 
-def check_iteration(tol: float, max_iter: int) -> None:
-    """The stopping rule of every fixed-point solve: a finite ``tol`` > 0 and ``max_iter`` >= 1."""
-    if not (tol > 0.0 and np.isfinite(tol)):
+def check_iteration(tol: float, max_iter: int) -> tuple[float, int]:
+    """The stopping rule of every fixed-point solve, checked: a finite real
+    ``tol`` > 0 and a whole ``max_iter`` >= 1, returned as a float and an int."""
+    tol = real(tol, "tol")
+    if not (tol > 0.0 and math.isfinite(tol)):
         raise FieldError("tol", f"must be finite and > 0, got {tol!r}")
-    if max_iter < 1:
-        raise FieldError("max_iter", f"must be >= 1, got {max_iter!r}")
+    return tol, whole_number(max_iter, "max_iter", 1)
 
 
 def compute_f(

@@ -8,10 +8,16 @@ is the full frequency count.  The same measure drives both the finite-pool
 simulator and the deterministic limit solver.
 
 All types are immutable after construction and safe to share across
-threads.  Constructors are permissive about parameter *values* (so that
-invalid inputs can be collected and reported); :func:`validate_measure`
-is the gate that enforces sign, finiteness, cap, and weight-sum
-constraints, reporting every violation at once.
+threads.  Constructors are strict about the *kind* of every value: a
+real parameter takes any real number but a bool (:func:`real`), a count
+any whole number (:func:`whole_number`), a choice only one of its strings
+(:func:`one_of`) and a flag only a bool; anything else raises
+:class:`FieldError` naming the field, never converts.  Sizes are bounded
+by :data:`MAX_SIZE` there too.  Constructors are permissive about
+parameter *values* (so that invalid inputs can be collected and
+reported); :func:`validate_measure` is the gate that enforces sign,
+finiteness, cap, and weight-sum constraints, reporting every violation
+at once.
 """
 
 from __future__ import annotations
@@ -33,16 +39,48 @@ DEFAULT_CAP = 100.0
 WEIGHT_TOL = 1e-12
 
 
-def whole_number(value, name: str) -> int:
-    """``value`` as an int: an integer, a numpy integer or an integral float
-    (``1e3``).  A bool or a non-integral value raises :class:`FieldError`
+#: Ceiling of every size (steps, firms, replications, pool sizes): far
+#: beyond any run that fits in memory, and low enough that no array shape
+#: or loop count built from it overflows.
+MAX_SIZE = 2**31 - 1
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float: any real number but a bool, which Python counts
+    as one and a config never does.  Anything else raises :class:`FieldError`
+    ``name``, as does an integer beyond the double range."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise FieldError(name, f"must be a number, got {bounded_repr(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise FieldError(name, f"is out of range, got {bounded_repr(value)}") from None
+
+
+def whole_number(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int in [``low``, ``high``] (either bound optional): an
+    integer, a numpy integer or an integral float (``1e3``).  A bool, a
+    non-integral value or one out of bounds raises :class:`FieldError`
     ``name`` instead of being truncated."""
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
-    raise FieldError(name, f"must be an integer, got {bounded_repr(value)}")
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise FieldError(name, f"must be an integer, got {bounded_repr(value)}")
+    n = int(value)
+    if low is not None and n < low:
+        raise FieldError(name, f"must be >= {low}, got {bounded_repr(value)}")
+    if high is not None and n > high:
+        raise FieldError(name, f"must be <= {high}, got {bounded_repr(value)}")
+    return n
+
+
+def one_of(value, name: str, options: tuple[str, ...]) -> str:
+    """``value`` if it is one of the strings ``options``, else :class:`FieldError` ``name``."""
+    if not isinstance(value, str):
+        raise FieldError(name, f"must be a string, got {bounded_repr(value)}")
+    if value not in options:
+        raise FieldError(name, f"must be one of {options}, got {bounded_repr(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,7 +110,7 @@ class FirmType:
 
     def __post_init__(self):
         for name in ("alpha", "lambda_bar", "sigma", "beta_c", "beta_s"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, real(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -85,8 +123,8 @@ class TypeAtom:
     weight: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_init", float(self.lambda_init))
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "lambda_init", real(self.lambda_init, "lambda_init"))
+        object.__setattr__(self, "weight", real(self.weight, "weight"))
 
 
 @dataclass(frozen=True)
@@ -127,9 +165,8 @@ class EpsSchedule:
     _KINDS = ("inverse_sqrt", "fixed", "zero")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise FieldError("kind", f"must be one of {self._KINDS}, got {bounded_repr(self.kind)}")
-        object.__setattr__(self, "value", float(self.value))
+        one_of(self.kind, "kind", self._KINDS)
+        object.__setattr__(self, "value", real(self.value, "value"))
         if not (self.value >= 0.0 and math.isfinite(self.value)):
             raise FieldError("value", f"must be finite and >= 0, got {self.value!r}")
 
@@ -155,8 +192,8 @@ class SystematicFactorConfig:
     eps: EpsSchedule = field(default_factory=EpsSchedule)
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "x_init", float(self.x_init))
+        object.__setattr__(self, "gamma", real(self.gamma, "gamma"))
+        object.__setattr__(self, "x_init", real(self.x_init, "x_init"))
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise FieldError("gamma", f"must be finite and > 0, got {self.gamma!r}")
         if not math.isfinite(self.x_init):
@@ -171,12 +208,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "n_steps", whole_number(self.n_steps, "n_steps"))
+        object.__setattr__(self, "t_end", real(self.t_end, "t_end"))
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise FieldError("t_end", f"must be finite and > 0, got {self.t_end!r}")
-        if self.n_steps < 1:
-            raise FieldError("n_steps", f"must be >= 1, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", whole_number(self.n_steps, "n_steps", 1, MAX_SIZE))
 
     @property
     def dt(self) -> float:
@@ -246,8 +281,10 @@ def validate_measure(measure: DiscreteTypeMeasure, cap: float = DEFAULT_CAP) -> 
     listing *every* violation otherwise, each a :class:`FieldError` named by
     the config's keys (``atoms[0].sigma``, ``atoms`` for the weight sum).  A
     ``cap`` that is NaN or <= 0 is the one violation reported, at ``cap``;
-    ``math.inf`` bounds nothing.
+    ``math.inf`` bounds nothing, and a ``cap`` that is no number raises
+    :class:`FieldError`.
     """
+    cap = real(cap, "cap")
     if not cap > 0.0:
         raise ValidationError([FieldError("cap", f"must be > 0, got {cap!r}")])
     violations: list[FieldError] = []

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, NonFiniteResultError, bounded_repr
-from .model import FirmType, TimeGrid, Trajectory
+from .errors import NonFiniteResultError
+from .model import FirmType, TimeGrid, Trajectory, one_of
 
 METHODS = ("closed_form", "rk4")
 
@@ -78,8 +78,7 @@ def solve_riccati(firm_type: FirmType, grid: TimeGrid, method: str = "closed_for
     ``1 - sigma^2 b^2 / 2 - alpha b``, so the differential relation holds
     to round-off by construction regardless of method.
     """
-    if method not in METHODS:
-        raise FieldError("method", f"must be one of {METHODS}, got {bounded_repr(method)}")
+    one_of(method, "method", METHODS)
     a, s = firm_type.alpha, firm_type.sigma
     if method == "closed_form":
         b = _closed_form(a, s, grid.points())

@@ -58,10 +58,12 @@ import numpy as np
 
 from .errors import FieldError, NonFiniteStateError, bounded_repr
 from .model import (
+    MAX_SIZE,
     DiscreteTypeMeasure,
     SystematicFactorConfig,
     TimeGrid,
     Trajectory,
+    one_of,
     validate_measure,
     whole_number,
 )
@@ -105,15 +107,12 @@ class SimConfig:
     record_moments: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_firms", whole_number(self.n_firms, "n_firms"))
-        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
-        if self.n_firms < 1:
-            raise FieldError("n_firms", f"must be >= 1, got {self.n_firms!r}")
-        if self.seed < 0:
-            raise FieldError("seed", f"must be a nonnegative integer, got {self.seed!r}")
-        if self.assignment not in ASSIGNMENTS:
-            raise FieldError("assignment", f"must be one of {ASSIGNMENTS}, "
-                                           f"got {bounded_repr(self.assignment)}")
+        object.__setattr__(self, "n_firms", whole_number(self.n_firms, "n_firms", 1, MAX_SIZE))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0))
+        one_of(self.assignment, "assignment", ASSIGNMENTS)
+        if not isinstance(self.record_moments, bool):
+            raise FieldError("record_moments", f"must be true or false, "
+                                               f"got {bounded_repr(self.record_moments)}")
 
 
 @dataclass(frozen=True)
@@ -344,9 +343,7 @@ def simulate(config: SimConfig, replication: int = 0) -> SimResult:
     step) if any intensity becomes NaN or infinite, which signals a
     grid/parameter pathology rather than a statistical fluctuation.
     """
-    replication = whole_number(replication, "replication")
-    if replication < 0:
-        raise FieldError("replication", f"must be >= 0, got {replication!r}")
+    replication = whole_number(replication, "replication", 0)
     return _simulate_batch(config, range(replication, replication + 1))[0]
 
 
@@ -393,9 +390,7 @@ def run_replications(config: SimConfig, n_reps: int) -> ReplicationSet:
     Replications are stepped in batches of ``max(1, _CELL_BUDGET // N)``;
     each one's output is the same as :func:`simulate` gives it alone.
     """
-    n_reps = whole_number(n_reps, "n_reps")
-    if n_reps < 1:
-        raise FieldError("n_reps", f"must be >= 1, got {n_reps!r}")
+    n_reps = whole_number(n_reps, "n_reps", 1, MAX_SIZE)
     width = max(1, _CELL_BUDGET // config.n_firms)
     results = tuple(
         result

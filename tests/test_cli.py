@@ -725,12 +725,31 @@ def test_readme_states_the_error_contract(tmp_path, capsys):
 
 
 def test_readme_size_sentence_names_the_size_fields():
-    # "each `key` entry" names the entries of a list, which the check calls key[]
+    # the ceiling holds at every field the README names and at no other
+    # integer field; "each `key` entry" names a list's entries, here key.0
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     sentence = re.search(r"Size fields \((.*?)\)", readme, re.DOTALL).group(1)
-    named = {name + "[]" if each else name
+    named = {name + ".0" if each else name
              for each, name in re.findall(r"(each )?`([^`]+)`", sentence)}
-    assert named == set(cli_module.SIZE_FIELDS)
+
+    def integer_keys(node, where=""):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node[:1]):
+            at = f"{where}.{key}" if where else str(key)
+            if isinstance(value, (dict, list)):
+                yield from integer_keys(value, at)
+            elif type(value) is int:
+                yield at
+
+    integers = set(integer_keys(DEFAULT_CONFIG))
+    assert named < integers and {"sim.seed", "solver.max_iter"} <= integers - named
+    for key in integers:
+        sets = [f"{key}={MAX_SIZE + 1}"]
+        if key in named:
+            field = re.sub(r"\.(\d+)$", r"[\1]", key)
+            with pytest.raises(ValidationError, match=re.escape(f"at {field}: must be <= ")):
+                resolve_config(load_config(None, sets, None))
+        else:
+            resolve_config(load_config(None, sets, None))
 
 
 # Fuzz: one leaf of a tiny config replaced by a value of another kind; every
@@ -810,6 +829,34 @@ def test_control_character_in_a_key_keeps_one_line(tmp_path, capsys, how):
     err = capsys.readouterr().err
     assert err.startswith("error (CONFIG_PARSE): ") and err.count("\n") == 1
     assert "st\\neps" in err
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="not-found"),
+    pytest.param(b"{not json", id="not-json"),
+    pytest.param(b"[1, 2]", id="not-an-object"),
+    pytest.param(b"[" * 100_000, id="nested-past-the-parser"),
+])
+def test_config_path_in_an_error_keeps_one_bounded_line(tmp_path, capsys, monkeypatch, content):
+    # the path was echoed raw: a newline in it split the error, and a long
+    # path was echoed whole
+    monkeypatch.chdir(tmp_path)
+    folder = Path(*["no\nsuch"] * 40)
+    folder.mkdir(parents=True)
+    if content is not None:
+        (folder / "cfg.json").write_bytes(content)
+    assert main(["limit", "--config", str(folder / "cfg.json"), "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (CONFIG_PARSE): ") and err.count("\n") == 1
+    assert "no\\nsuch" in err and len(err.encode()) < 400
+
+
+def test_unreadable_config_path_is_bounded(tmp_path, capsys):
+    # a file name too long to open was echoed whole: a 3046-byte error
+    assert main(["limit", "--config", "k" * 3000, "--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error (IO): ") and err.count("\n") == 1
+    assert "config file kkk" in err and len(err.encode()) < 400
 
 
 TWO_ATOMS = [{"alpha": 4.0, "lambda_bar": 0.5, "sigma": 0.9, "beta_c": 2.0,

@@ -71,6 +71,20 @@ class TestLlnExperiment:
         with pytest.raises(ValueError, match="pool size"):
             lln_experiment(CONSTANT_INTENSITY, factor, TimeGrid(1.0, 100), [], n_reps=2, seed=1)
 
+    def test_bad_pool_size_named_before_any_pool_runs(self, factor, monkeypatch):
+        # this simulated N = 10 in full, then failed at n_firms
+        calls = []
+        monkeypatch.setattr(convergence_module, "run_replications",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as err:  # a FieldError
+            lln_experiment(CONSTANT_INTENSITY, factor, TimeGrid(1.0, 20), [10, 10.5], 2, 1)
+        assert err.value.field == "n_values[1]" and calls == []
+
+    @pytest.mark.parametrize("n_values", [[10, 20], (10, 20), range(10, 30, 10)])
+    def test_any_sequence_of_pool_sizes_accepted(self, factor, n_values):
+        report = lln_experiment(CONSTANT_INTENSITY, factor, TimeGrid(1.0, 20), n_values, 2, 1)
+        assert [c.n_firms for c in report.cells] == [10, 20]
+
     @pytest.fixture
     def no_simulation(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -239,6 +239,21 @@ class TestSolveLimit:
         assert sol.q.values[0] == pytest.approx(1.0, abs=1e-12)
         assert sol.f.values[0] == 0.0
 
+    @pytest.mark.parametrize("kw, field", [
+        ({"max_iter": 2.5}, "max_iter"),  # a TypeError from range
+        ({"max_iter": True}, "max_iter"),  # "no convergence after True iterations"
+        ({"tol": True}, "tol"),  # stopped after one sweep per grid
+    ])
+    def test_wrong_kind_of_stopping_rule_named(self, base_measure, kw, field):
+        with pytest.raises(ValueError) as err:  # a FieldError
+            solve_limit(base_measure, TimeGrid(1.0, 100), **kw)
+        assert err.value.field == field
+
+    def test_integral_float_max_iter_accepted(self, base_measure):
+        grid = TimeGrid(1.0, 100)
+        sol = solve_limit(base_measure, grid, max_iter=1e3)
+        assert np.array_equal(sol.f.values, solve_limit(base_measure, grid, max_iter=1000).f.values)
+
     @given(
         alpha=st.floats(0.0, 6.0),
         sigma=st.floats(0.0, 2.0),

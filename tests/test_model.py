@@ -129,6 +129,15 @@ class TestTimeGrid:
         g = TimeGrid(1.0, n_steps)
         assert g.n_steps == 1000 and type(g.n_steps) is int
 
+    @pytest.mark.parametrize("t_end, n_steps, field", [
+        ("2", 10, "t_end"),  # ran with t_end 2.0
+        (1.0, 2**31, "n_steps"),  # the size ceiling held for the CLI only
+    ])
+    def test_wrong_kind_or_oversized_field_named(self, t_end, n_steps, field):
+        with pytest.raises(FieldError) as err:
+            TimeGrid(t_end, n_steps)
+        assert err.value.field == field
+
 
 class TestTrajectory:
     def test_shape_checked(self):
@@ -187,6 +196,21 @@ class TestFactorConfig:
         assert m.atoms[0].firm_type == FirmType(1, 1, 1, 1)
         with pytest.raises(AttributeError):
             m.atoms[0].firm_type.alpha = 2.0
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: FirmType(alpha=True, lambda_bar=0.5, sigma=0.9, beta_c=2.0), "alpha",
+                 id="bool-rate"),
+    pytest.param(lambda: TypeAtom(FirmType(1, 1, 1, 1), lambda_init=10**400, weight=1.0),
+                 "lambda_init", id="int-beyond-double"),
+    pytest.param(lambda: validate_measure(homogeneous_measure(FirmType(1, 1, 1, 1), 0.5), "9"),
+                 "cap", id="string-cap"),
+])
+def test_domain_type_rejects_a_wrong_kind(build, field):
+    # True ran as 1.0; the others escaped as an OverflowError and a TypeError
+    with pytest.raises(FieldError) as err:
+        build()
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("reject, field", [

@@ -536,6 +536,15 @@ class TestAssignment:
         assert err.value.field == "replication"
         assert simulate(config, 2.0).replication == 2
 
+    @pytest.mark.parametrize("kw, field", [
+        ({"record_moments": "no"}, "record_moments"),  # a truthy string recorded moments
+        ({"n_firms": 2**31}, "n_firms"),
+    ])
+    def test_wrong_kind_or_oversized_field_named(self, kw, field):
+        with pytest.raises(FieldError) as err:
+            make_config(**kw)
+        assert err.value.field == field
+
     @pytest.mark.parametrize("run", [simulate, lambda c: run_replications(c, 3)],
                              ids=["simulate", "run_replications"])
     def test_measure_weights_must_sum_to_one(self, run):
